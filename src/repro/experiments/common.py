@@ -1,14 +1,15 @@
 """Shared experiment infrastructure.
 
 :class:`ExperimentContext` owns everything an experiment needs — traces
-(disk-cached), the machine model, per-trace memory-penalty arrays, and the
-baseline (BTB-only) prediction/timing results that every "reduction in
-execution time" cell is measured against.  Every prediction run goes
-through :mod:`repro.runner`: results are memoised in-process per
-``(benchmark, config)``, persisted in the on-disk result cache, and — via
-:meth:`ExperimentContext.predictions` — fanned out over a process pool
-when ``jobs > 1``.  Experiments prefetch their whole cell list up front so
-the sweep parallelises, then read individual cells from the memo.
+(disk-cached), the machine model, per-trace memory-penalty arrays and
+timing memos, and the baseline (BTB-only) prediction/timing results that
+every "reduction in execution time" cell is measured against.  Every
+prediction run goes through :mod:`repro.runner`: results are memoised
+in-process per ``(benchmark, config)``, persisted in the on-disk result
+cache, and — via :meth:`ExperimentContext.predictions` — fanned out over
+a process pool when ``jobs > 1``.  Experiments prefetch their whole cell
+list up front so the sweep parallelises, then read individual cells from
+the memo.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.obs import get_sink
-from repro.pipeline import MachineConfig, memory_penalties, run_timing
+from repro.pipeline import MachineConfig, TimingMemo, memory_penalties, run_timing
 from repro.predictors import EngineConfig, PredictionStats
 from repro.runner import (
     BACKENDS,
@@ -156,6 +157,7 @@ class ExperimentContext:
         self._penalties: Dict[str, "npt.NDArray[Any]"] = {}
         self._predictions: Dict[Tuple[str, EngineConfig], PredictionStats] = {}
         self._cycles: Dict[Tuple[str, EngineConfig], int] = {}
+        self._timing_memos: Dict[str, TimingMemo] = {}
 
     # ------------------------------------------------------------------
     def trace(self, benchmark: str) -> Trace:
@@ -172,6 +174,14 @@ class ExperimentContext:
                 self.trace(benchmark), self.machine
             )
         return self._penalties[benchmark]
+
+    def _timing_memo(self, benchmark: str) -> TimingMemo:
+        """The segment memo every mask of ``benchmark`` is timed through."""
+        if benchmark not in self._timing_memos:
+            self._timing_memos[benchmark] = TimingMemo(
+                self.trace(benchmark), self.machine, self.penalty(benchmark)
+            )
+        return self._timing_memos[benchmark]
 
     # ------------------------------------------------------------------
     def predictions(self, cells: Sequence[Tuple[str, EngineConfig]],
@@ -259,6 +269,7 @@ class ExperimentContext:
             result = run_timing(
                 self.trace(benchmark), self.machine,
                 stats.mispredict_mask, self.penalty(benchmark),
+                memo=self._timing_memo(benchmark),
             )
         if cache_key is not None:
             self._result_cache.store_cycles(cache_key, result.cycles)

@@ -7,10 +7,11 @@ memory, and the per-class execution latencies of Table 3.
 
 Two models share one :class:`~repro.pipeline.config.MachineConfig`:
 
-* :mod:`~repro.pipeline.timing` — a fast one-pass dataflow scheduler used
-  for the paper's big parameter sweeps (every instruction is visited once;
-  its issue time is the max of its fetch availability, its operands'
-  completion times, and window/width constraints);
+* :mod:`~repro.pipeline.timing` — a fast dataflow scheduler used for the
+  paper's big parameter sweeps (an instruction's issue time is the max of
+  its fetch availability, its operands' completion times, and
+  window/width constraints; a per-trace memo re-simulates only the
+  stretches that a new mispredict mask changes);
 * :mod:`~repro.pipeline.core` — a cycle-stepped model with explicit fetch /
   issue / execute / retire stages and checkpoint-style recovery, used to
   cross-validate the fast model and for the pipeline example.
@@ -24,7 +25,7 @@ from repro.pipeline.caches import DataCache, memory_penalties
 from repro.pipeline.config import LATENCIES, DataCacheConfig, MachineConfig
 from repro.pipeline.core import CycleCore, run_cycle_core
 from repro.pipeline.integrated import IntegratedCore, IntegratedResult, run_integrated
-from repro.pipeline.timing import TimingResult, execution_cycles, run_timing
+from repro.pipeline.timing import TimingMemo, TimingResult, execution_cycles, run_timing
 
 __all__ = [
     "LATENCIES",
@@ -32,6 +33,7 @@ __all__ = [
     "MachineConfig",
     "DataCache",
     "memory_penalties",
+    "TimingMemo",
     "TimingResult",
     "execution_cycles",
     "run_timing",

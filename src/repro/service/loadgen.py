@@ -182,9 +182,9 @@ class ServiceClient:
 # The run itself.
 # ----------------------------------------------------------------------
 async def _worker(client: ServiceClient, queue: "asyncio.Queue[Any]",
-                  latencies: List[float], errors: List[str],
-                  poll_interval_s: float) -> None:
-    """Drain spec documents: submit, poll to completion, record latency."""
+                  latencies: List[float], errors: List[str]) -> None:
+    """Drain spec documents: submit, read the events stream to ``done``,
+    record the latency."""
     await client.connect(retry_s=CONNECT_RETRY_S)
     try:
         while True:
@@ -199,19 +199,17 @@ async def _worker(client: ServiceClient, queue: "asyncio.Queue[Any]",
                 if status != 202 or submitted is None:
                     errors.append(f"submit -> {status}")
                     continue
-                path = submitted["links"]["result"]
-                while True:
-                    status, job = await client.request("GET", path)
-                    if status != 200 or job is None:
-                        errors.append(f"poll -> {status}")
-                        break
-                    if job["status"] == "done":
-                        latencies.append(time.perf_counter() - start)
-                        break
-                    if job["status"] == "error":
-                        errors.append(job.get("error", "job error"))
-                        break
-                    await asyncio.sleep(poll_interval_s)
+                status, events = await client.request(
+                    "GET", submitted["links"]["events"]
+                )
+                done: Dict[str, Any] = (
+                    events[-1] if isinstance(events, list) and events else {})
+                if status != 200 or done.get("event") != "done":
+                    errors.append(f"events -> {status}")
+                elif done["status"] != "done":
+                    errors.append(done.get("error", "job error"))
+                else:
+                    latencies.append(time.perf_counter() - start)
             except (OSError, ConnectionError, asyncio.IncompleteReadError):
                 errors.append("connection lost")
                 await client.close()
@@ -233,9 +231,12 @@ async def run_load(host: str, port: int, *,
                    requests: int = DEFAULT_REQUESTS,
                    concurrency: int = DEFAULT_CONCURRENCY,
                    seed: int = 1997, zipf_s: float = DEFAULT_ZIPF_S,
-                   benchmarks: Tuple[str, ...] = ("perl", "gcc"),
-                   poll_interval_s: float = 0.02) -> Dict[str, Any]:
-    """Drive the service; return the ``BENCH_serve.json`` payload."""
+                   benchmarks: Tuple[str, ...] = ("perl", "gcc")) -> Dict[str, Any]:
+    """Drive the service; return the ``BENCH_serve.json`` payload.
+
+    Each request's latency runs from sending ``POST /sweeps`` to reading
+    the ``done`` line of ``GET /sweeps/{id}/events``.
+    """
     sink = get_sink()
     mix = build_mix(requests, seed=seed, zipf_s=zipf_s,
                     benchmarks=benchmarks)
@@ -259,7 +260,7 @@ async def run_load(host: str, port: int, *,
                    concurrency=n_workers):
         start = time.perf_counter()
         await asyncio.gather(*(
-            _worker(client, queue, latencies, errors, poll_interval_s)
+            _worker(client, queue, latencies, errors)
             for client in clients
         ))
         wall_s = time.perf_counter() - start

@@ -570,11 +570,11 @@ class TestLoadgen:
             try:
                 first = await run_load(
                     "127.0.0.1", service.port, requests=30, concurrency=8,
-                    seed=11, benchmarks=("perl",), poll_interval_s=0.005,
+                    seed=11, benchmarks=("perl",),
                 )
                 second = await run_load(
                     "127.0.0.1", service.port, requests=30, concurrency=8,
-                    seed=11, benchmarks=("perl",), poll_interval_s=0.005,
+                    seed=11, benchmarks=("perl",),
                 )
                 return first, second
             finally:
@@ -593,3 +593,37 @@ class TestLoadgen:
         # The replay finds every cell warm: the acceptance bar is >=90%.
         assert second["scheduler"]["saved_rate"] >= 0.9
         assert second["scheduler"]["computed"] == 0
+
+    def test_computed_sweep_costs_two_requests(self, tmp_path, monkeypatch):
+        """A submit and one events stream read to ``done``: no polling, so
+        the latency is not rounded up to a poll interval."""
+        sent = []
+        real_request = ServiceClient.request
+
+        async def recording_request(self, method, path, payload=None):
+            if path.startswith("/sweeps"):
+                sent.append((method, path))
+            return await real_request(self, method, path, payload)
+
+        monkeypatch.setattr(ServiceClient, "request", recording_request)
+
+        async def main():
+            service = SweepService(
+                host="127.0.0.1", port=0, jobs=0,
+                trace_length=TRACE_LENGTH,
+                result_cache=ResultCache(tmp_path / "svc"),
+            )
+            await service.start()
+            try:
+                return await run_load(
+                    "127.0.0.1", service.port, requests=1, concurrency=1,
+                    seed=11, benchmarks=("perl",),
+                )
+            finally:
+                await service.close()
+
+        payload = asyncio.run(main())
+        assert payload["scheduler"]["computed"] == 1
+        assert payload["throughput"]["requests_done"] == 1
+        assert [method for method, _ in sent] == ["POST", "GET"]
+        assert sent[1][1].endswith("/events")
