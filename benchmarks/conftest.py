@@ -18,17 +18,14 @@ from repro.experiments.common import ExperimentContext
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _hermetic_result_cache(tmp_path_factory):
-    """Benchmarks measure real regenerations, not result-cache hits."""
-    previous = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = str(
-        tmp_path_factory.mktemp("result-cache")
-    )
+def _hermetic_caches(tmp_path_factory):
+    """Benchmarks measure real regenerations, not result-cache hits, and
+    leave no traces in the user's cache directories."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("trace-cache")))
+    patch.setenv("REPRO_RESULT_CACHE", str(tmp_path_factory.mktemp("result-cache")))
     yield
-    if previous is None:
-        os.environ.pop("REPRO_RESULT_CACHE", None)
-    else:
-        os.environ["REPRO_RESULT_CACHE"] = previous
+    patch.undo()
 
 
 def bench_trace_length() -> int:

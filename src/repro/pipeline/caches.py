@@ -57,7 +57,7 @@ class DataCache:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-def memory_penalties(trace: Trace, machine: MachineConfig) -> "npt.NDArray[np.float64]":
+def memory_penalties(trace: Trace, machine: MachineConfig) -> "npt.NDArray[np.int32]":
     """Per-instruction extra latency (cycles) from data-cache misses.
 
     Returns an int32 array aligned to the trace: zero for non-memory

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -17,6 +18,11 @@ import numpy as np
 from repro.trace.trace import Trace
 
 _FORMAT_VERSION = 1
+
+#: What loading a torn, corrupt or stale archive raises: a truncated npz
+#: fails with ``EOFError`` (no bytes left) or ``zipfile.BadZipFile``.
+_CORRUPT_ARCHIVE_ERRORS = (ValueError, OSError, KeyError, EOFError,
+                           zipfile.BadZipFile)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -95,8 +101,8 @@ def cached_trace(key: str, generate: Callable[[], Trace],
     if path.exists():
         try:
             return load_trace(path)
-        except (ValueError, OSError, KeyError):
-            path.unlink(missing_ok=True)  # corrupt or stale cache entry
+        except _CORRUPT_ARCHIVE_ERRORS:
+            path.unlink(missing_ok=True)  # torn, corrupt or stale cache entry
     trace = generate()
     save_trace(trace, path)
     return trace

@@ -1,10 +1,20 @@
 """Shared fixtures: small session-scoped traces and a hermetic trace cache."""
 
-import os
-
 import pytest
 
 from repro.workloads import get_trace
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_session_caches(tmp_path_factory):
+    """Module- and session-scoped fixtures (the shared ``ExperimentContext``
+    of ``test_experiments.py``, say) are built before any per-test fixture
+    applies, so they get their cache directories here."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("trace-cache")))
+    patch.setenv("REPRO_RESULT_CACHE", str(tmp_path_factory.mktemp("result-cache")))
+    yield
+    patch.undo()
 
 
 @pytest.fixture(autouse=True)

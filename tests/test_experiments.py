@@ -1,6 +1,8 @@
 """Tests for the experiment harness: structure plus the paper's key
 qualitative findings at a reduced trace length."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentContext, run_experiment
@@ -26,6 +28,12 @@ class TestHarness:
             "oo_future_work", "cascaded", "modern", "capacity",
             "calibration", "server_btb", "switch_lowering",
         }
+
+    def test_shared_context_caches_outside_the_home_directory(self, ctx):
+        # The module-scoped context is built before per-test fixtures
+        # apply; it must still read and write a throwaway result cache.
+        directory = ctx._result_cache.directory.resolve()
+        assert (Path.home() / ".cache").resolve() not in directory.parents
 
     def test_table_formatting(self, ctx):
         table = run_experiment("table4", ctx)

@@ -4,18 +4,24 @@ The cache is only safe if every input that can change a simulation result
 changes the key — and nothing else does.  These tests pin both directions.
 """
 
+import collections
 import dataclasses
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.guest.isa import BranchKind
+from repro.obs import Sink, install
 from repro.pipeline import MachineConfig
 from repro.predictors import (
     DirectionConfig,
     EngineConfig,
     HistoryConfig,
     HistorySource,
+    PredictionStats,
     TargetCacheConfig,
     simulate,
 )
@@ -116,7 +122,7 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         path = cache._path("c" * 64)
         path.parent.mkdir(parents=True)
-        path.write_bytes(b"not an npz archive")
+        path.write_bytes(b"not a cache record")
         assert cache.load("c" * 64) is None
         assert not path.exists()
 
@@ -241,9 +247,96 @@ class TestCyclesCache:
         assert not calls, "warm result cache must not re-run the timing model"
 
 
+class _CountingSink(Sink):
+    """Records ``incr`` calls so a test can see evictions and misses."""
+
+    enabled = True
+
+    def __init__(self):
+        self.counts = collections.Counter()
+
+    def incr(self, name, value=1):
+        self.counts[name] += value
+
+
+@pytest.fixture
+def counts():
+    sink = _CountingSink()
+    previous = install(sink)
+    yield sink.counts
+    install(previous)
+
+
+@pytest.fixture(scope="module")
+def perl_stats():
+    from repro.workloads import get_trace
+
+    trace = get_trace("perl", n_instructions=LENGTH, use_cache=False)
+    return simulate(trace, EngineConfig(), collect_mask=True)
+
+
+def assert_same_stats(loaded, stats):
+    assert loaded is not None
+    assert (loaded.instructions, loaded.btb_lookups, loaded.btb_hits) == (
+        stats.instructions, stats.btb_lookups, stats.btb_hits)
+    assert loaded.per_kind == stats.per_kind
+    if stats.mispredict_mask is None:
+        assert loaded.mispredict_mask is None
+    else:
+        assert loaded.mispredict_mask.dtype == np.bool_
+        assert np.array_equal(loaded.mispredict_mask, stats.mispredict_mask)
+
+
+def reseal(record):
+    """Recompute the crc32 trailer, so only the field under test is wrong."""
+    body = record[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def flip(offset):
+    def damage(record):
+        record = bytearray(record)
+        record[offset] ^= 0xFF
+        return bytes(record)
+    return damage
+
+
+def put_field(offset, value):
+    """Overwrite one int64 field and reseal: a well-formed lie."""
+    def damage(record):
+        record = bytearray(record)
+        record[offset:offset + 8] = struct.pack("<q", value)
+        return reseal(bytes(record))
+    return damage
+
+
+#: Record offsets: magic at 0, version at 4, int64 fields from 8 (stats:
+#: instructions, btb_lookups, btb_hits, kinds, mask length, then one
+#: (kind, executed, mispredicted) triple per kind from 48; cycles: the
+#: count at 8), then the packed mask, then the 4-byte crc32 trailer.
+#: Truncations are in ``TestTornEntries``.
+COMMON_DAMAGE = {
+    "flip-header": flip(5),
+    "flip-counter": flip(9),
+    "flip-trailer": flip(-1),
+    "wrong-magic": lambda record: reseal(b"NPZ!" + record[4:]),
+    "wrong-version": lambda record: reseal(
+        record[:4] + struct.pack("<I", 1) + record[8:]),
+}
+STATS_DAMAGE = {
+    **COMMON_DAMAGE,
+    "flip-kind-counter": flip(48 + 8),
+    "flip-mask": flip(-5),
+    "mask-length-too-long": put_field(40, LENGTH + 8),
+    "mask-length-too-short": put_field(40, LENGTH - 8),
+    "mask-dropped": put_field(40, -1),
+    "unknown-kind": put_field(48, 99),
+}
+
+
 class TestTornEntries:
     """Satellite of the fsync-free write audit: a machine crash after the
-    atomic rename can leave a *torn* (truncated/zero-byte) npz on disk.
+    atomic rename can leave a *torn* (truncated/zero-byte) record on disk.
     Such entries must read as evictable misses — never as a crash."""
 
     def _store_real_entry(self, tmp_path):
@@ -257,12 +350,14 @@ class TestTornEntries:
 
     @pytest.mark.parametrize("keep_fraction", [0.0, 0.25, 0.5, 0.9])
     def test_truncated_entry_is_a_miss_and_evicts(self, tmp_path,
-                                                  keep_fraction):
+                                                  keep_fraction, counts):
         cache, path = self._store_real_entry(tmp_path)
         whole = path.read_bytes()
         path.write_bytes(whole[:int(len(whole) * keep_fraction)])
+        counts.clear()
         assert cache.load("e" * 64) is None
         assert not path.exists(), "torn entry must be evicted"
+        assert counts == {"result_cache.evict": 1}
         # And the next store/load round-trips normally again.
         from repro.workloads import get_trace
 
@@ -271,11 +366,121 @@ class TestTornEntries:
         cache.store("e" * 64, stats)
         assert cache.load("e" * 64) is not None
 
+    @pytest.mark.parametrize("keep_fraction", [0.0, 0.25, 0.5, 0.9])
+    def test_truncated_cycles_entry_is_a_miss_and_evicts(self, tmp_path,
+                                                         keep_fraction, counts):
+        cache = ResultCache(tmp_path)
+        cache.store_cycles("e" * 64, 2_273_710)
+        path = cache._cycles_path("e" * 64)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:int(len(whole) * keep_fraction)])
+        counts.clear()
+        assert cache.load_cycles("e" * 64) is None
+        assert not path.exists(), "torn entry must be evicted"
+        assert counts == {"result_cache.evict": 1}
+        cache.store_cycles("e" * 64, 2_273_710)
+        assert cache.load_cycles("e" * 64) == 2_273_710
+
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache, path = self._store_real_entry(tmp_path)
         leftovers = [p for p in path.parent.iterdir()
                      if p.suffix == ".tmp" or ".tmp" in p.name]
         assert leftovers == []
+
+
+class TestRecordFaults:
+    """Every damaged record, stats or cycles, is a miss that evicts the
+    entry and bumps ``result_cache.evict``; the next store round-trips."""
+
+    KEY = "d" * 64
+    CYCLES = 2_273_710
+
+    @pytest.mark.parametrize("damage", STATS_DAMAGE, ids=str)
+    def test_damaged_stats_entry(self, tmp_path, perl_stats, counts, damage):
+        cache = ResultCache(tmp_path)
+        cache.store(self.KEY, perl_stats)
+        path = cache._path(self.KEY)
+        path.write_bytes(STATS_DAMAGE[damage](path.read_bytes()))
+        counts.clear()
+        assert cache.load(self.KEY) is None
+        assert not path.exists(), "damaged entry must be evicted"
+        assert counts == {"result_cache.evict": 1}
+        cache.store(self.KEY, perl_stats)
+        assert_same_stats(cache.load(self.KEY, need_mask=True), perl_stats)
+
+    @pytest.mark.parametrize("damage", COMMON_DAMAGE, ids=str)
+    def test_damaged_cycles_entry(self, tmp_path, counts, damage):
+        cache = ResultCache(tmp_path)
+        cache.store_cycles(self.KEY, self.CYCLES)
+        path = cache._cycles_path(self.KEY)
+        path.write_bytes(COMMON_DAMAGE[damage](path.read_bytes()))
+        counts.clear()
+        assert cache.load_cycles(self.KEY) is None
+        assert not path.exists(), "damaged entry must be evicted"
+        assert counts == {"result_cache.evict": 1}
+        cache.store_cycles(self.KEY, self.CYCLES)
+        assert cache.load_cycles(self.KEY) == self.CYCLES
+
+    def test_maskless_entry_under_need_mask_is_a_plain_miss(
+            self, tmp_path, perl_stats, counts):
+        cache = ResultCache(tmp_path)
+        maskless = dataclasses.replace(perl_stats, mispredict_mask=None)
+        cache.store(self.KEY, maskless)
+        assert cache.load(self.KEY, need_mask=True) is None
+        assert cache._path(self.KEY).exists(), "a maskless entry is not corrupt"
+        assert counts["result_cache.load.miss"] == 1
+        assert counts["result_cache.evict"] == 0
+        cache.store(self.KEY, perl_stats)  # the maskful recompute overwrites
+        assert_same_stats(cache.load(self.KEY, need_mask=True), perl_stats)
+
+    def test_legacy_entries_are_never_read(self, tmp_path, counts):
+        """Entries of the earlier npz/json format sit at other file names:
+        they are never opened, so they can neither hit nor be evicted."""
+        cache = ResultCache(tmp_path)
+        legacy_stats = tmp_path / self.KEY[:2] / f"{self.KEY}.npz"
+        legacy_cycles = tmp_path / self.KEY[:2] / f"{self.KEY}.cycles.json"
+        legacy_stats.parent.mkdir(parents=True)
+        np.savez_compressed(legacy_stats, version=np.int64(1),
+                            instructions=np.int64(LENGTH))
+        legacy_cycles.write_text(json.dumps({"version": 1, "cycles": 5}))
+        assert cache.load(self.KEY) is None
+        assert cache.load_cycles(self.KEY) is None
+        assert legacy_stats.exists() and legacy_cycles.exists()
+        assert counts == {"result_cache.load.miss": 1,
+                          "result_cache.cycles.miss": 1}
+
+
+class TestRecordRoundTrips:
+    KEY = "c" * 64
+
+    @pytest.mark.parametrize("mask_length", [None, 0, 1, 7, 9, 20_001])
+    def test_mask_lengths_round_trip(self, tmp_path, mask_length):
+        rng = np.random.default_rng(SEED)
+        stats = PredictionStats(instructions=20_001, btb_lookups=3, btb_hits=2)
+        stats.counters(BranchKind.IND_JUMP).executed = 11
+        stats.counters(BranchKind.IND_JUMP).mispredicted = 4
+        stats.counters(BranchKind.COND_DIRECT)  # a kind with zero counts
+        if mask_length is not None:
+            stats.mispredict_mask = rng.random(mask_length) < 0.3
+        cache = ResultCache(tmp_path)
+        cache.store(self.KEY, stats)
+        loaded = cache.load(self.KEY, need_mask=mask_length is not None)
+        assert_same_stats(loaded, stats)
+        assert list(loaded.per_kind) == sorted(stats.per_kind)
+
+    def test_huge_cycle_count_round_trips(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store_cycles(self.KEY, 2**62 + 1)
+        assert cache.load_cycles(self.KEY) == 2**62 + 1
+
+    def test_hits_bump_the_hit_counters(self, tmp_path, perl_stats, counts):
+        cache = ResultCache(tmp_path)
+        cache.store(self.KEY, perl_stats)
+        cache.store_cycles(self.KEY, 7)
+        assert cache.load(self.KEY, need_mask=True) is not None
+        assert cache.load_cycles(self.KEY) == 7
+        assert counts == {"result_cache.store": 1, "result_cache.cycles.store": 1,
+                          "result_cache.load.hit": 1, "result_cache.cycles.hit": 1}
 
 
 class TestClaims:

@@ -74,6 +74,26 @@ def test_cached_trace_regenerates_on_corruption(tmp_path, trace):
     assert recovered == trace
 
 
+@pytest.mark.parametrize("keep_fraction", [0.0, 0.25, 0.5, 0.9])
+def test_cached_trace_regenerates_a_torn_entry(tmp_path, trace, keep_fraction):
+    """A crash can leave a truncated archive (``EOFError`` at zero bytes,
+    ``zipfile.BadZipFile`` past that): a miss that regenerates, not a
+    crash on every later run of the workload."""
+    cached_trace("key", lambda: trace, cache_dir=tmp_path)
+    victim = tmp_path / "key.npz"
+    whole = victim.read_bytes()
+    victim.write_bytes(whole[:int(len(whole) * keep_fraction)])
+    calls = []
+
+    def generate():
+        calls.append(1)
+        return trace
+
+    assert cached_trace("key", generate, cache_dir=tmp_path) == trace
+    assert calls == [1]
+    assert load_trace(victim) == trace  # the regenerated entry is whole
+
+
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "custom"))
     assert default_cache_dir() == tmp_path / "custom"
