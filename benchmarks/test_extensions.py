@@ -25,16 +25,22 @@ def test_cascaded_filter(ctx, run_once):
 def test_modern_lineage(ctx, run_once):
     """BTB -> target cache -> ITTAGE-lite: the periodic-dispatch
     workloads are where geometric history lengths pay off most."""
+    from repro.experiments.configs import tagless_engine
+    from repro.experiments.modern import ittage_engine
+
     table = run_once(run_experiment, "modern", ctx)
     print()
     print(table.format())
+    # The generation columns carry the registry labels of their configs.
+    target_cache = tagless_engine().target_cache.label()
+    ittage_lite = ittage_engine().target_cache.label()
     for benchmark in ("perl", "richards", "m88ksim"):
-        tc = table.cell(benchmark, "target cache")
-        ittage = table.cell(benchmark, "ITTAGE-lite")
+        tc = table.cell(benchmark, target_cache)
+        ittage = table.cell(benchmark, ittage_lite)
         assert ittage < tc, benchmark
     # and the target cache already removed most of the BTB's misses
     for benchmark in ("perl", "gcc"):
-        assert (table.cell(benchmark, "target cache")
+        assert (table.cell(benchmark, target_cache)
                 < table.cell(benchmark, "BTB") * 0.7)
 
 

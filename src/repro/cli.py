@@ -490,6 +490,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.service import DEFAULT_PORT, SweepService
 
@@ -519,6 +520,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await service.close()
 
+    # SIGTERM (plain `kill`, a service manager's stop) raises
+    # KeyboardInterrupt like Ctrl-C, so `_serve`'s close() stops the pool's
+    # workers instead of leaving them orphaned.  Workers fork later and
+    # inherit the handler: a SIGTERM sent to one ends only that worker.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import os
 import tempfile
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -19,10 +21,16 @@ from repro.trace.trace import Trace
 
 _FORMAT_VERSION = 1
 
-#: What loading a torn, corrupt or stale archive raises: a truncated npz
-#: fails with ``EOFError`` (no bytes left) or ``zipfile.BadZipFile``.
+#: What loading a torn, corrupt or stale archive raises.  A truncated npz
+#: fails with ``EOFError`` (no bytes left) or ``zipfile.BadZipFile``.  A
+#: flipped byte can also surface as ``zlib.error`` (a broken deflate
+#: stream), ``tokenize.TokenError`` (an unbalanced npy header),
+#: ``NotImplementedError`` (a zip version or compression method the reader
+#: lacks) or ``RuntimeError`` (a member flagged as encrypted).
 _CORRUPT_ARCHIVE_ERRORS = (ValueError, OSError, KeyError, EOFError,
-                           zipfile.BadZipFile)
+                           zipfile.BadZipFile, zlib.error,
+                           tokenize.TokenError, NotImplementedError,
+                           RuntimeError)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -58,7 +66,9 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace`."""
-    with np.load(path) as archive:
+    # Opened here rather than by ``np.load``, which leaves its own handle
+    # open when ``zipfile`` cannot parse a damaged archive.
+    with open(path, "rb") as handle, np.load(handle) as archive:
         version = int(archive["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(

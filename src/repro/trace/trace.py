@@ -102,7 +102,11 @@ class Trace:
     # ------------------------------------------------------------------
     @classmethod
     def from_raw(cls, raw: RawTrace) -> "Trace":
-        """Convert the guest VM's list-based :class:`RawTrace`."""
+        """Wrap the guest VM's :class:`RawTrace`.
+
+        The VM builds every column in this class's dtypes, so the
+        ``np.asarray`` calls of the constructor copy nothing.
+        """
         return cls(
             pc=raw.pc,
             instr_class=raw.instr_class,

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional
 from repro.guest.isa import GuestProgram
 from repro.guest.lowering import lowering_names
 from repro.guest.vm import run_program
+from repro.obs import get_sink
 from repro.trace.io import cached_trace
 from repro.trace.trace import Trace
 
@@ -307,13 +308,19 @@ def get_trace(name: str, n_instructions: int = 400_000, seed: int = 1997,
     Traces are cached on disk (see :func:`repro.trace.io.cached_trace`)
     keyed by (name, length, seed, lowering); pass ``use_cache=False`` to
     force regeneration.  ``name`` may be composite (``perl@if_tree``).
+    Each generation (build, VM run, column wrap and validation) is one
+    ``trace.generate`` ledger span; a cache hit records none.
     """
-    spec, _, effective = _resolve(name, lowering)
+    spec, base, effective = _resolve(name, lowering)
 
     def generate() -> Trace:
-        program = spec.build(seed=seed, lowering=effective)
-        trace = Trace.from_raw(run_program(program, max_instructions=n_instructions))
-        trace.validate()
+        with get_sink().span("trace.generate", workload=base,
+                             lowering=effective or "jump_table",
+                             length=n_instructions, seed=seed):
+            program = spec.build(seed=seed, lowering=effective)
+            trace = Trace.from_raw(
+                run_program(program, max_instructions=n_instructions))
+            trace.validate()
         return trace
 
     if not use_cache:
@@ -330,7 +337,8 @@ def trace_fingerprint(name: str, n_instructions: int = 400_000,
 
     Covers everything that determines the trace content: workload name,
     switch lowering, length, generator seed, and a hash of the generator
-    sources (workload module, shared emitters, VM, builder, lowerings).
+    sources (workload module, shared emitters, ISA tables, VM, builder,
+    lowerings).
     Used as the trace-cache key and as the trace component of the sweep
     runner's result-cache keys — distinct lowerings therefore can never
     alias in either cache.
@@ -346,11 +354,13 @@ def _code_fingerprint(module_name: str) -> str:
     """Short hash of the sources that determine a workload's trace.
 
     Included in the cache key so editing a workload (or the shared
-    emitters / VM) invalidates stale cached traces automatically.
+    emitters, the ISA tables that set the class and branch-kind columns,
+    the VM that builds every column, the builder or the lowerings)
+    invalidates stale cached traces automatically.
     """
     digest = hashlib.md5()
-    for mod in (module_name, "repro.workloads.support", "repro.guest.vm",
-                "repro.guest.builder", "repro.guest.lowering"):
+    for mod in (module_name, "repro.workloads.support", "repro.guest.isa",
+                "repro.guest.vm", "repro.guest.builder", "repro.guest.lowering"):
         module = importlib.import_module(mod)
         with open(module.__file__, "rb") as handle:
             digest.update(handle.read())

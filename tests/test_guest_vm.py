@@ -195,7 +195,7 @@ class TestControlFlow:
             b.label("out")
         vm, trace = _run(body)
         assert vm.registers[5] == 1
-        assert trace.branch_kind.count(int(BranchKind.IND_JUMP)) == 1
+        assert list(trace.branch_kind).count(int(BranchKind.IND_JUMP)) == 1
 
     def test_indirect_call(self):
         def body(b):

@@ -211,6 +211,27 @@ class TestPoolLedger:
                    for r in records)
 
 
+class TestTraceGenerationSpan:
+    def test_one_span_per_uncached_trace(self, tmp_path):
+        """A miss builds, runs and validates the trace inside one
+        ``trace.generate`` span; the cache hit after it records none."""
+        from repro.workloads import get_trace
+
+        ledger = tmp_path / "run.jsonl"
+        install(LedgerSink(ledger))
+        try:
+            first = get_trace("perl@if_tree", n_instructions=2_000, seed=7)
+            assert get_trace("perl@if_tree", n_instructions=2_000, seed=7) == first
+        finally:
+            shutdown()
+        spans = [r for r in read_ledger(ledger)
+                 if r["kind"] == "span" and r["name"] == "trace.generate"]
+        assert len(spans) == 1
+        assert spans[0]["meta"] == {"workload": "perl", "lowering": "if_tree",
+                                    "length": 2_000, "seed": 7}
+        assert spans[0]["dur"] > 0
+
+
 class TestResultNeutrality:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_bit_identical_with_obs_on_and_off(self, tmp_path, jobs):

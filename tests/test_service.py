@@ -9,7 +9,15 @@ a direct ``run_cells`` sweep — scheduling must be invisible in results.
 """
 
 import asyncio
+import contextlib
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -627,3 +635,127 @@ class TestLoadgen:
         assert payload["throughput"]["requests_done"] == 1
         assert [method for method, _ in sent] == ["POST", "GET"]
         assert sent[1][1].endswith("/events")
+
+
+# ----------------------------------------------------------------------
+# The `repro serve` process and its signals.
+# ----------------------------------------------------------------------
+def _stat_fields(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or
+    ``None`` once the process is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rpartition(")")[2].split()
+
+
+def _children(pid):
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(entry.name)
+            if fields is not None and int(fields[1]) == pid:
+                children.append(int(entry.name))
+    return children
+
+
+def _alive(pid):
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _line_with(stream, needle, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while True:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([stream], [], [], left)[0]:
+            raise AssertionError(f"no {needle!r} line within {timeout_s}s")
+        line = stream.readline()
+        if not line:
+            raise AssertionError(f"the process exited before {needle!r}")
+        if needle in line:
+            return line
+
+
+class _ServeProcess:
+    """A ``repro serve --jobs 1`` subprocess and the pids it forked."""
+
+    def __init__(self):
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "1", "--trace-length", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        self.children = []
+        try:
+            line = _line_with(self.process.stdout, "listening", timeout_s=60)
+        except BaseException:
+            self.kill_all()
+            raise
+        self.port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+
+    def compute_a_cell(self, index=0):
+        """Run one uncached cell, which forks the pool's worker."""
+        async def submit():
+            client = ServiceClient("127.0.0.1", self.port)
+            await client.connect(retry_s=5.0)
+            try:
+                status, job = await client.request(
+                    "POST", "/sweeps", spec_population(("perl",))[index])
+                assert status == 202
+                status, events = await client.request(
+                    "GET", job["links"]["events"])
+                assert events[-1]["status"] == "done"
+            finally:
+                await client.close()
+
+        asyncio.run(asyncio.wait_for(submit(), timeout=60))
+        self.children = sorted(set(self.children) | set(_children(self.process.pid)))
+        assert self.children, "no pool worker was started"
+
+    def kill_all(self):
+        for pid in [self.process.pid, *self.children]:
+            if _alive(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        self.process.wait(timeout=30)
+        self.process.stdout.close()
+
+
+def _wait_until_gone(pids, timeout_s=10):
+    deadline = time.monotonic() + timeout_s
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _alive(pid)]
+
+
+@pytest.fixture
+def serve_process():
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("reads /proc")
+    server = _ServeProcess()
+    try:
+        yield server
+    finally:  # never leave a process behind, whatever failed
+        server.kill_all()
+
+
+def test_sigterm_stops_the_server_and_its_pool_worker(serve_process):
+    """A plain ``kill`` runs the same shutdown as Ctrl-C: the server exits
+    cleanly and takes its fork-started pool worker with it."""
+    serve_process.compute_a_cell()
+    serve_process.process.send_signal(signal.SIGTERM)
+    assert serve_process.process.wait(timeout=30) == 0
+    assert _wait_until_gone(serve_process.children) == []
+
+
+def test_sigterm_to_the_pool_worker_ends_only_the_worker(serve_process):
+    """The worker inherits the SIGTERM handler, so it dies like a worker
+    hit by Ctrl-C; the server degrades its pool and keeps answering."""
+    serve_process.compute_a_cell()
+    worker = serve_process.children[0]
+    os.kill(worker, signal.SIGTERM)
+    assert _wait_until_gone([worker]) == []
+    serve_process.compute_a_cell(index=1)
+    assert serve_process.process.poll() is None
