@@ -51,9 +51,7 @@ HOT_PATHS: Tuple[Tuple[str, str, bool], ...] = (
     # The vector tier's kernel is whole-array by construction (the
     # vector-hygiene pass bans loops outright); listing it here keeps the
     # allocation/enum-property rules on its sanctioned counter loop and on
-    # the recurrence body.  ``simulate_many_vector`` is a per-config
-    # driver, not a per-branch path — like ``simulate_many_streamed`` it
-    # stays unlisted so its build span/reuse counter remain legal.
+    # the recurrence body.
     ("predictors/vector.py", "simulate_vector", False),
     ("predictors/vector.py", "_last_write_predictions", True),
 )

@@ -22,9 +22,9 @@ building every spec example through the real factory:
     A ``traits.backends()`` chain that does not name real kernels:
     ``vectorizable=True`` with ``streams_supported=False`` (the vector
     tier consumes :class:`~repro.predictors.streams.BranchStreams`, so
-    the chain silently drops ``vector``), or a backend name with no
-    kernel function behind it in the symbol index / no entry in the
-    runner's ``BACKENDS``.
+    the chain silently drops ``vector``), or a backend name with no entry
+    in :data:`KERNELS` or no kernel function behind it in the symbol
+    index.
 ``trait-factory-provides``
     A factory whose built predictor is not an instance of any class in
     the registration's ``provides`` tuple (or that raises on its own
@@ -74,7 +74,6 @@ class TraitContractChecker:
         from repro.predictors.indexing import IndexScheme
         from repro.predictors.registry import registrations
         from repro.runner import keys
-        from repro.runner.pool import BACKENDS
 
         index = project_callgraph(project).index
         covered: Tuple[str, ...] = tuple(keys._ENGINE_CODE_MODULES)
@@ -115,11 +114,7 @@ class TraitContractChecker:
                 )
             for backend in traits.backends():
                 kernel = KERNELS.get(backend)
-                if (
-                    backend not in BACKENDS
-                    or kernel is None
-                    or index.function(kernel) is None
-                ):
+                if kernel is None or index.function(kernel) is None:
                     findings.append(
                         Finding(
                             "trait-backend-chain", relpath, line,

@@ -9,11 +9,10 @@ time, so the absence of loops is a lint invariant, not a convention:
 ``vector-python-loop``
     A Python ``for`` / ``while`` statement in the vector module.  The
     per-branch recurrence must be expressed as array passes (the loop is
-    almost always iterating an array row-by-row); the few legitimate
-    loops — the per-``BranchKind`` counter fill (a dozen iterations per
-    cell) and the per-config driver in ``simulate_many_vector`` (once per
-    cell, not per branch) — carry explicit
-    ``# repro-lint: ignore[vector-python-loop]`` suppressions.
+    almost always iterating an array row-by-row); the one legitimate
+    loop, the per-``BranchKind`` counter fill (a dozen iterations per
+    cell), carries an explicit
+    ``# repro-lint: ignore[vector-python-loop]`` suppression.
 
 The rule deliberately flags *every* loop rather than trying to prove the
 iterable is an array: a false positive costs one ignore comment with a

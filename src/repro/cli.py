@@ -38,10 +38,8 @@ module.  The spec file schema (see ``docs/PREDICTORS.md``)::
 
 Options: ``--trace-length N`` (default 400000, or REPRO_TRACE_LENGTH),
 ``--seed S``, ``--no-cache``, ``--jobs N`` (or REPRO_JOBS; worker
-processes for experiment sweeps), ``--no-result-cache`` (bypass the
-persistent prediction-result cache, see :mod:`repro.runner`), and
-``--backend {auto,engine,streams,vector}`` (cap the per-cell execution
-tier; every tier is bit-identical, so this only changes speed).  ``bench``
+processes for experiment sweeps) and ``--no-result-cache`` (bypass the
+persistent prediction-result cache, see :mod:`repro.runner`).  ``bench``
 writes the machine-readable baseline described in :mod:`repro.bench`
 (default ``BENCH_sweep.json``; see ``--bench-output``/``--rounds``) and
 appends every payload to a history file (``--bench-history``).
@@ -107,12 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_JOBS, else 1)")
     parser.add_argument("--no-result-cache", action="store_true",
                         help="bypass the persistent prediction-result cache")
-    parser.add_argument("--backend",
-                        choices=("auto", "engine", "streams", "vector"),
-                        default="auto",
-                        help="cap the per-cell execution tier (auto picks "
-                             "the fastest supported: vector > streams > "
-                             "engine; results are bit-identical)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="output format (lint: text/json/sarif; "
@@ -172,7 +164,6 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
         use_trace_cache=not args.no_cache,
         jobs=args.jobs,
         use_result_cache=not args.no_result_cache,
-        backend=args.backend,
     )
 
 
@@ -502,7 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_length=args.trace_length or 400_000,
         seed=args.seed,
         use_trace_cache=not args.no_cache,
-        backend=args.backend,
         use_result_cache=not args.no_result_cache,
     )
 

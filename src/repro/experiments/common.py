@@ -26,13 +26,13 @@ from repro.obs import get_sink
 from repro.pipeline import MachineConfig, TimingMemo, memory_penalties, run_timing
 from repro.predictors import EngineConfig, PredictionStats
 from repro.runner import (
-    BACKENDS,
     ResultCache,
     SweepCell,
     default_jobs,
     run_cells,
     timing_key,
 )
+from repro.runner.keys import cacheable
 from repro.trace.trace import Trace
 from repro.workloads import get_trace
 
@@ -131,26 +131,18 @@ class ExperimentContext:
     ``jobs`` sets the process-pool width for batched sweeps (default: the
     ``REPRO_JOBS`` environment variable, else 1); ``use_result_cache``
     controls the persistent on-disk result cache (default: on, unless
-    ``REPRO_RESULT_CACHE=0``); ``backend`` caps the per-cell execution
-    tier (``--backend`` on the CLI; every tier is bit-identical).
+    ``REPRO_RESULT_CACHE=0``).
     """
 
     def __init__(self, trace_length: Optional[int] = None, seed: int = 1997,
                  machine: Optional[MachineConfig] = None,
                  use_trace_cache: bool = True,
                  jobs: Optional[int] = None,
-                 use_result_cache: bool = True,
-                 backend: str = "auto") -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
-            )
+                 use_result_cache: bool = True) -> None:
         self.trace_length = trace_length or default_trace_length()
         self.seed = seed
         self.machine = machine or MachineConfig()
         self.use_trace_cache = use_trace_cache
-        self.backend = backend
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self._result_cache = ResultCache.from_env() if use_result_cache else None
         self._traces: Dict[str, Trace] = {}
@@ -213,7 +205,6 @@ class ExperimentContext:
                     use_trace_cache=self.use_trace_cache,
                     result_cache=self._result_cache,
                     trace_provider=self.trace,
-                    backend=self.backend,
                 )
             for (benchmark, config), stats in zip(missing, computed):
                 self._predictions[(benchmark, config)] = stats
@@ -258,7 +249,7 @@ class ExperimentContext:
 
     def _compute_cycles(self, benchmark: str, config: EngineConfig) -> int:
         cache_key = None
-        if self._result_cache is not None:
+        if self._result_cache is not None and cacheable(config):
             cache_key = timing_key(benchmark, config, self.trace_length,
                                    self.seed, self.machine)
             cached = self._result_cache.load_cycles(cache_key)

@@ -80,7 +80,6 @@ from repro.predictors.streams import (
     BranchStreams,
     StreamConfig,
     build_streams,
-    simulate_many_streamed,
     simulate_streamed,
     stream_signature,
     streams_supported,
@@ -95,7 +94,6 @@ from repro.predictors.target_cache import (
     build_target_cache,
 )
 from repro.predictors.vector import (
-    simulate_many_vector,
     simulate_vector,
     vector_supported,
 )
@@ -141,11 +139,9 @@ __all__ = [
     "BranchStreams",
     "StreamConfig",
     "build_streams",
-    "simulate_many_streamed",
     "simulate_streamed",
     "stream_signature",
     "streams_supported",
-    "simulate_many_vector",
     "simulate_vector",
     "vector_supported",
     "OracleTargetPredictor",

@@ -104,8 +104,10 @@ class PredictorTraits:
     ``deterministic``
         The predictor's outputs are a pure function of its inputs (all
         internal randomness is seeded).  Required for result-cache
-        soundness; ``repro lint`` treats ``False`` as information only,
-        but the sweep runner refuses to cache such cells.
+        soundness: ``run_cells``, the sweep service and
+        ``ExperimentContext.cycles`` never load, claim or store result-cache
+        entries for a kind that declares ``False``
+        (:func:`repro.runner.keys.cacheable`).
     ``spec_fields``
         The spec schema: which :class:`TargetCacheConfig` fields this kind
         consumes (beyond ``kind`` itself).  ``repro predictors`` prints

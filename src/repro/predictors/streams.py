@@ -50,7 +50,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.guest.isa import INSTRUCTION_BYTES, BranchKind
-from repro.obs import get_sink
 from repro.predictors.btb import BranchTargetBuffer, UpdateStrategy
 from repro.predictors.direction import DirectionConfig, DirectionPredictor
 from repro.predictors.engine import (
@@ -670,32 +669,3 @@ def simulate_streamed(streams: BranchStreams, config: EngineConfig,
         stats.mispredict_mask = mask
     return stats
 
-
-def simulate_many_streamed(
-    decoded: DecodedBranches, configs: List[EngineConfig],
-    collect_mask: bool = False,
-    memo: Optional[Dict[StreamConfig, BranchStreams]] = None,
-) -> List[PredictionStats]:
-    """Stream-kernel counterpart of :func:`simulate_many` over decoded rows.
-
-    Builds (or reuses, via ``memo``) one :class:`BranchStreams` per
-    signature appearing in ``configs``.  Every config must satisfy
-    :func:`streams_supported`; mixed sweeps should go through
-    :func:`repro.runner.run_cells`, which falls back per cell.
-    """
-    streams_by_signature = memo if memo is not None else {}
-    results: List[PredictionStats] = []
-    sink = get_sink()
-    for config in configs:
-        signature = stream_signature(config)
-        streams = streams_by_signature.get(signature)
-        if streams is None:
-            with sink.span("streams.build"):
-                streams = build_streams(decoded, signature)
-            streams_by_signature[signature] = streams
-        else:
-            sink.incr("streams.reuse")
-        results.append(
-            simulate_streamed(streams, config, collect_mask=collect_mask)
-        )
-    return results

@@ -36,25 +36,18 @@ on Table 4 cells.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.guest.isa import BranchKind
-from repro.obs import get_sink
-from repro.predictors.engine import (
-    DecodedBranches,
-    EngineConfig,
-    PredictionStats,
-)
+from repro.predictors.engine import EngineConfig, PredictionStats
 from repro.predictors.indexing import IndexScheme
 from repro.predictors.registry import registration
 from repro.predictors.streams import (
     _N_KINDS,
     BranchStreams,
-    StreamConfig,
-    build_streams,
     stream_signature,
     streams_supported,
 )
@@ -62,7 +55,6 @@ from repro.predictors.streams import (
 __all__ = [
     "vector_supported",
     "simulate_vector",
-    "simulate_many_vector",
 ]
 
 
@@ -226,32 +218,3 @@ def simulate_vector(streams: BranchStreams, config: EngineConfig,
         stats.mispredict_mask = mask
     return stats
 
-
-def simulate_many_vector(
-    decoded: DecodedBranches, configs: List[EngineConfig],
-    collect_mask: bool = False,
-    memo: Optional[Dict[StreamConfig, BranchStreams]] = None,
-) -> List[PredictionStats]:
-    """Vector-tier counterpart of :func:`simulate_many_streamed`.
-
-    Builds (or reuses, via ``memo``) one :class:`BranchStreams` per
-    signature appearing in ``configs``.  Every config must satisfy
-    :func:`vector_supported`; mixed sweeps should go through
-    :func:`repro.runner.run_cells`, which falls back per cell.
-    """
-    streams_by_signature = memo if memo is not None else {}
-    results: List[PredictionStats] = []
-    sink = get_sink()
-    for config in configs:  # repro-lint: ignore[vector-python-loop]
-        signature = stream_signature(config)
-        streams = streams_by_signature.get(signature)
-        if streams is None:
-            with sink.span("streams.build"):
-                streams = build_streams(decoded, signature)
-            streams_by_signature[signature] = streams
-        else:
-            sink.incr("streams.reuse")
-        results.append(
-            simulate_vector(streams, config, collect_mask=collect_mask)
-        )
-    return results

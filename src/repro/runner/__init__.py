@@ -39,7 +39,6 @@ from repro.runner.keys import (
     timing_key,
 )
 from repro.runner.pool import (
-    BACKENDS,
     SweepCell,
     SweepPool,
     default_jobs,
@@ -47,7 +46,6 @@ from repro.runner.pool import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CELL_KEY_VERSION",
     "DEFAULT_CLAIM_TTL_S",
     "ResultCache",

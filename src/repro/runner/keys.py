@@ -28,7 +28,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Tuple
 
-from repro.predictors import EngineConfig
+from repro.predictors import EngineConfig, traits_for
 from repro.workloads import trace_fingerprint
 
 
@@ -185,3 +185,14 @@ def timing_key(benchmark: str, config: EngineConfig, trace_length: int,
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def cacheable(config: EngineConfig) -> bool:
+    """Whether a cell's results may enter the result cache.
+
+    Only when its target-cache kind, if any, declares ``deterministic``
+    traits: a kind whose outputs vary run to run has no single result a
+    key could stand for.
+    """
+    target_cache = config.target_cache
+    return target_cache is None or traits_for(target_cache.kind).deterministic

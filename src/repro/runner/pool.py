@@ -8,32 +8,29 @@ worker processes.  The design goals, in order:
    index, and nothing about scheduling leaks into the outputs.
 2. **Ship each trace once per worker**, not once per cell: workers receive
    only ``(benchmark, config)`` descriptors (small frozen dataclasses) and
-   load traces themselves from the on-disk trace cache, memoising both the
-   trace and its decoded branch rows for every subsequent cell.
-3. **Pay for the per-branch walk once per (trace, base config)**: cells are
-   grouped by :func:`~repro.predictors.streams.stream_signature`, each
-   worker memoises the :class:`~repro.predictors.streams.BranchStreams`
-   for the signatures it sees, and every cell runs through the fastest
-   execution tier its config supports — the vectorized columnar kernel
-   (:func:`~repro.predictors.vector.simulate_vector`) for kinds whose
-   registered traits declare ``vectorizable``, the stream kernel
-   (:func:`~repro.predictors.streams.simulate_streamed`) otherwise — both
-   bit-identical to the reference engine, with per-cell cost proportional
-   to the target-cache-relevant subset of branches.  Cells the stream
-   kernel cannot represent (history wider than 64 bits) fall back to
-   :func:`~repro.predictors.engine.simulate` per cell.  ``backend`` caps
-   the ladder (``--backend`` on the CLI): ``auto``/``vector`` pick the
-   fastest supported tier per cell, ``streams`` and ``engine`` force the
-   lower tiers; unsupported cells always degrade downward, never error.
+   load traces themselves from the on-disk trace cache.
+3. **Pay for the per-branch walk once per (trace, base config)**: one
+   :class:`_TraceMemo` per trace holds the trace, its decoded branch rows
+   and the :class:`~repro.predictors.streams.BranchStreams` of every
+   :func:`~repro.predictors.streams.stream_signature` it has served, and
+   one cell function, :func:`_simulate_cell`, serves each cell from the
+   fastest execution tier its config supports: the vectorized columnar
+   kernel (:func:`~repro.predictors.vector.simulate_vector`) for kinds
+   whose registered traits declare ``vectorizable``, else the stream
+   kernel (:func:`~repro.predictors.streams.simulate_streamed`), else —
+   for history wider than 64 bits — the reference
+   :func:`~repro.predictors.engine.simulate`.  Every tier is bit-identical
+   to the reference engine, so the choice changes only speed.
 4. **Near-free warm re-runs**: cells whose
    :func:`~repro.runner.keys.cell_key` is already in the persistent
    :class:`~repro.runner.cache.ResultCache` never reach a worker.
 
-The serial path (``jobs=1``) runs in-process with the same per-signature
-stream memo, so even single-core sweeps amortise the per-branch walk.  A
-worker pool that breaks mid-sweep (a worker killed by the OOM killer or a
-signal) is downgraded to the serial path for whatever cells were still
-outstanding, with a warning.
+The serial path (``jobs=1``) runs in-process through the same cell
+function, with one memo per trace for the length of one :func:`run_cells`
+call; a pool worker keeps its memos for its lifetime.  A worker pool that
+breaks mid-sweep (a worker killed by the OOM killer or a signal) is
+downgraded to the serial path for whatever cells were still outstanding,
+with a warning.
 
 Every layer is instrumented through :mod:`repro.obs` (a no-op unless a
 run ledger is enabled): per-cell spans with the kernel used, result-cache
@@ -49,7 +46,6 @@ import os
 import warnings
 from concurrent.futures import (
     Executor,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
@@ -61,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from repro.obs import attach_worker, get_sink
 from repro.predictors import (
     BranchStreams,
-    DecodedBranches,
     EngineConfig,
     PredictionStats,
     StreamConfig,
@@ -77,31 +72,9 @@ from repro.predictors import (
     vector_supported,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.keys import cell_key
+from repro.runner.keys import cacheable, cell_key
 from repro.trace.trace import Trace
 from repro.workloads import get_trace
-
-
-#: Execution-tier caps accepted by :func:`run_cells` (and ``--backend``).
-BACKENDS = ("auto", "engine", "streams", "vector")
-
-
-def _cell_backend(config: EngineConfig, backend: str) -> str:
-    """Resolve the execution tier serving one cell under a backend cap.
-
-    ``backend`` caps the *maximum* tier; a cell whose config a tier cannot
-    represent degrades to the next one down (vector -> streams -> engine),
-    so results never depend on the cap — only speed does.  ``auto`` and
-    ``vector`` behave identically: the cap is already the top of the
-    ladder.
-    """
-    if backend == "engine":
-        return "engine"
-    if backend != "streams" and vector_supported(config):
-        return "vector"
-    if streams_supported(config):
-        return "streams"
-    return "engine"
 
 
 @dataclass(frozen=True)
@@ -135,8 +108,57 @@ def default_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
+# One cell, whichever path submitted it.
+# ----------------------------------------------------------------------
+class _TraceMemo:
+    """One trace with its decoded branch rows and its streams by signature.
+
+    Each :class:`BranchStreams` is built at most once per memo.  The serial
+    path keeps a memo per trace for one :func:`run_cells` call; a pool
+    worker keeps one per trace for its lifetime.
+    """
+
+    def __init__(self, benchmark: str, trace: Trace) -> None:
+        self.benchmark = benchmark
+        self.trace = trace
+        self.decoded = decode_branches(trace)
+        self.streams: Dict[StreamConfig, BranchStreams] = {}
+
+
+def _simulate_cell(memo: _TraceMemo, config: EngineConfig,
+                   collect_mask: bool) -> PredictionStats:
+    """Serve one cell from the fastest execution tier its config supports.
+
+    The vector kernel if :func:`vector_supported`, else the stream kernel
+    if :func:`streams_supported`, else the reference engine.  The stream
+    build stays outside the ``cell`` span, which times the kernel alone.
+    """
+    sink = get_sink()
+    if not streams_supported(config):
+        sink.incr("runner.backend.engine")
+        with sink.span("cell", benchmark=memo.benchmark, kernel="reference"):
+            return simulate(memo.trace, config, collect_mask=collect_mask,
+                            decoded=memo.decoded)
+    signature = stream_signature(config)
+    streams = memo.streams.get(signature)
+    if streams is None:
+        with sink.span("streams.build", benchmark=memo.benchmark):
+            streams = build_streams(memo.decoded, signature)
+        memo.streams[signature] = streams
+    else:
+        sink.incr("streams.reuse")
+    if vector_supported(config):
+        sink.incr("runner.backend.vector")
+        with sink.span("cell", benchmark=memo.benchmark, kernel="vector"):
+            return simulate_vector(streams, config, collect_mask=collect_mask)
+    sink.incr("runner.backend.streams")
+    with sink.span("cell", benchmark=memo.benchmark, kernel="stream"):
+        return simulate_streamed(streams, config, collect_mask=collect_mask)
+
+
+# ----------------------------------------------------------------------
 # Worker side.  State lives in module globals set by the pool initializer;
-# each worker loads/decodes a benchmark's trace at most once.
+# each worker loads a benchmark's trace into a memo at most once.
 # ----------------------------------------------------------------------
 _WORKER_STATE: Optional[Dict[str, Any]] = None
 
@@ -144,8 +166,7 @@ _WORKER_STATE: Optional[Dict[str, Any]] = None
 def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
                  trace_cache_dir: Optional[str],
                  ledger_path: Optional[str],
-                 predictor_plugins: Tuple[str, ...] = (),
-                 backend: str = "auto") -> None:
+                 predictor_plugins: Tuple[str, ...] = ()) -> None:
     # The whole point of the initializer is to install per-worker state;
     # it never leaks into results (cells are pure functions of their
     # spec) and each worker owns its copy exclusively.
@@ -169,79 +190,29 @@ def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
         "trace_length": trace_length,
         "seed": seed,
         "use_trace_cache": use_trace_cache,
-        "backend": backend,
-        "decoded": {},
-        "traces": {},
-        "streams": {},
+        "memos": {},
     }
-
-
-def _worker_decoded(benchmark: str) -> DecodedBranches:
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker"
-    decoded = state["decoded"].get(benchmark)
-    if decoded is None:
-        trace = get_trace(
-            benchmark, n_instructions=state["trace_length"],
-            seed=state["seed"], use_cache=state["use_trace_cache"],
-        )
-        # Per-worker decode memo: keyed by benchmark, value deterministic
-        # given the spec, so replication across workers cannot diverge.
-        state["traces"][benchmark] = trace  # repro-lint: ignore[worker-global-write]
-        decoded = decode_branches(trace)
-        state["decoded"][benchmark] = decoded  # repro-lint: ignore[worker-global-write]
-    return decoded
-
-
-def _worker_streams(benchmark: str, signature: StreamConfig) -> BranchStreams:
-    """Per-worker :class:`BranchStreams` memo, built at most once each."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker"
-    streams = state["streams"].get((benchmark, signature))
-    if streams is None:
-        with get_sink().span("streams.build", benchmark=benchmark):
-            streams = build_streams(_worker_decoded(benchmark), signature)
-        # Same per-worker memo discipline as _worker_decoded above.
-        state["streams"][(benchmark, signature)] = streams  # repro-lint: ignore[worker-global-write]
-    else:
-        get_sink().incr("streams.reuse")
-    return streams
 
 
 def _run_chunk(benchmark: str,
                items: List[Tuple[int, EngineConfig, bool]]
                ) -> List[Tuple[int, PredictionStats]]:
-    decoded = _worker_decoded(benchmark)
-    assert _WORKER_STATE is not None
-    trace = _WORKER_STATE["traces"][benchmark]
-    # The tier cap is run-wide, so it rides in via the pool initializer
-    # rather than widening the chunk-runner signature.
-    backend = _WORKER_STATE["backend"]
-    sink = get_sink()
-    out: List[Tuple[int, PredictionStats]] = []
-    for index, config, collect_mask in items:
-        tier = _cell_backend(config, backend)
-        sink.incr(f"runner.backend.{tier}")
-        if tier == "vector":
-            streams = _worker_streams(benchmark, stream_signature(config))
-            with sink.span("cell", benchmark=benchmark, kernel="vector"):
-                stats = simulate_vector(streams, config,
-                                        collect_mask=collect_mask)
-        elif tier == "streams":
-            streams = _worker_streams(benchmark, stream_signature(config))
-            with sink.span("cell", benchmark=benchmark, kernel="stream"):
-                stats = simulate_streamed(streams, config,
-                                          collect_mask=collect_mask)
-        else:
-            if backend != "engine":
-                sink.incr("streams.fallback_reference")
-            with sink.span("cell", benchmark=benchmark, kernel="reference"):
-                stats = simulate(trace, config, collect_mask=collect_mask,
-                                 decoded=decoded)
-        out.append((index, stats))
+    state = _WORKER_STATE
+    assert state is not None, "worker used before _init_worker"
+    memo = state["memos"].get(benchmark)
+    if memo is None:
+        memo = _TraceMemo(benchmark, get_trace(
+            benchmark, n_instructions=state["trace_length"],
+            seed=state["seed"], use_cache=state["use_trace_cache"],
+        ))
+        # Per-worker memo: keyed by benchmark, value deterministic given
+        # the spec, so replication across workers cannot diverge.
+        state["memos"][benchmark] = memo  # repro-lint: ignore[worker-global-write]
+    out = [(index, _simulate_cell(memo, config, collect_mask))
+           for index, config, collect_mask in items]
     # Chunk boundary: persist this worker's shard so nothing is lost if
     # the pool later breaks (the parent merges whatever was flushed).
-    sink.flush()
+    get_sink().flush()
     return out
 
 
@@ -252,9 +223,9 @@ def _service_cell(benchmark: str, config: EngineConfig,
     The sweep service schedules cells one at a time (its shard scheduler
     owns batching, dedup and cache policy in the parent), so its pool
     tasks are single cells rather than chunks.  Delegates to
-    :func:`_run_chunk` so the per-worker trace/stream memos and execution
-    tiers behave identically to batch sweeps — a cell computes the same
-    bytes no matter which front end submitted it.
+    :func:`_run_chunk`, so a cell takes the same per-worker memo and cell
+    function as a batch sweep and computes the same bytes no matter which
+    front end submitted it.
     """
     return _run_chunk(benchmark, [(0, config, collect_mask)])[0][1]
 
@@ -305,22 +276,17 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
               trace_length: int = 400_000, seed: int = 1997,
               use_trace_cache: bool = True,
               result_cache: Optional[ResultCache] = None,
-              trace_provider: Optional[Callable[[str], Trace]] = None,
-              backend: str = "auto"
+              trace_provider: Optional[Callable[[str], Trace]] = None
               ) -> List[PredictionStats]:
     """Simulate every cell, returning stats in the order given.
 
     ``result_cache`` (usually :meth:`ResultCache.from_env`) short-circuits
-    cells simulated before; ``trace_provider`` lets a caller with traces
-    already in memory (e.g. ``ExperimentContext.trace``) supply them
-    instead of hitting the disk cache.  Duplicate cells are simulated once.
-    ``backend`` caps the execution tier (see :data:`BACKENDS`); every tier
-    is bit-identical, so cached results are shared across backends.
+    cells simulated before and stores the rest; cells whose predictor kind
+    is not ``deterministic`` bypass it (:func:`~repro.runner.keys.cacheable`).
+    ``trace_provider`` lets a caller with traces already in memory (e.g.
+    ``ExperimentContext.trace``) supply them instead of hitting the disk
+    cache.  Duplicate cells are simulated once.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
-        )
     jobs = default_jobs() if jobs is None else max(1, jobs)
     sink = get_sink()
     results: List[Optional[PredictionStats]] = [None] * len(cells)
@@ -334,7 +300,7 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
     keys: Dict[Tuple[str, EngineConfig], str] = {}
     for (benchmark, config), indices in unique.items():
         need_mask = any(cells[i].collect_mask for i in indices)
-        if result_cache is not None:
+        if result_cache is not None and cacheable(config):
             key = cell_key(benchmark, config, trace_length, seed)
             keys[(benchmark, config)] = key
             hit = result_cache.load(key, need_mask=need_mask)
@@ -348,12 +314,10 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
 
     if pending:
         computed = _compute(pending, jobs, trace_length, seed,
-                            use_trace_cache, trace_provider, backend)
+                            use_trace_cache, trace_provider)
         for (benchmark, config, _), stats in zip(pending, computed):
-            if result_cache is not None:
-                key = keys.get((benchmark, config)) or cell_key(
-                    benchmark, config, trace_length, seed
-                )
+            key = keys.get((benchmark, config))
+            if result_cache is not None and key is not None:
                 result_cache.store(key, stats)
             for i in unique[(benchmark, config)]:
                 results[i] = stats
@@ -362,8 +326,7 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
 
 def _compute(pending: List[Tuple[str, EngineConfig, bool]], jobs: int,
              trace_length: int, seed: int, use_trace_cache: bool,
-             trace_provider: Optional[Callable[[str], Trace]],
-             backend: str = "auto"
+             trace_provider: Optional[Callable[[str], Trace]]
              ) -> List[PredictionStats]:
     """Simulate ``pending`` cells, in order, serially or via the pool."""
 
@@ -383,45 +346,9 @@ def _compute(pending: List[Tuple[str, EngineConfig, bool]], jobs: int,
     out: List[Optional[PredictionStats]] = [None] * len(pending)
     if jobs <= 1 or len(pending) == 1:
         for benchmark, items in by_benchmark.items():
-            trace = load_trace(benchmark)
-            decoded = decode_branches(trace)
-            streams_memo: Dict[StreamConfig, BranchStreams] = {}
-
-            def serial_streams(signature: StreamConfig) -> BranchStreams:
-                streams = streams_memo.get(signature)
-                if streams is None:
-                    with sink.span("streams.build", benchmark=benchmark):
-                        streams = build_streams(decoded, signature)
-                    streams_memo[signature] = streams
-                else:
-                    sink.incr("streams.reuse")
-                return streams
-
+            memo = _TraceMemo(benchmark, load_trace(benchmark))
             for position, config, need_mask in items:
-                tier = _cell_backend(config, backend)
-                sink.incr(f"runner.backend.{tier}")
-                if tier == "vector":
-                    streams = serial_streams(stream_signature(config))
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="vector"):
-                        out[position] = simulate_vector(
-                            streams, config, collect_mask=need_mask
-                        )
-                elif tier == "streams":
-                    streams = serial_streams(stream_signature(config))
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="stream"):
-                        out[position] = simulate_streamed(
-                            streams, config, collect_mask=need_mask
-                        )
-                else:
-                    if backend != "engine":
-                        sink.incr("streams.fallback_reference")
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="reference"):
-                        out[position] = simulate(trace, config,
-                                                 collect_mask=need_mask,
-                                                 decoded=decoded)
+                out[position] = _simulate_cell(memo, config, need_mask)
         return out  # type: ignore[return-value]
 
     # Parallel path: make sure each trace exists on disk exactly once
@@ -450,8 +377,7 @@ def _compute(pending: List[Tuple[str, EngineConfig, bool]], jobs: int,
                 initargs=(trace_length, seed, use_trace_cache,
                           os.environ.get("REPRO_TRACE_CACHE"),  # repro-lint: ignore[det-env-read]
                           sink.ledger_path,
-                          tuple(plugin_modules()),
-                          backend),
+                          tuple(plugin_modules())),
             ) as pool:
                 try:
                     futures = [
@@ -477,12 +403,12 @@ def _compute(pending: List[Tuple[str, EngineConfig, bool]], jobs: int,
             f"process pool unavailable ({exc}); running sweep serially"
         )
         return _compute(pending, 1, trace_length, seed, use_trace_cache,
-                        trace_provider, backend)
+                        trace_provider)
     if pool_broke:
         remaining = [i for i, stats in enumerate(out) if stats is None]
         sink.event("pool.recovery", cells=len(remaining))
         redone = _compute([pending[i] for i in remaining], 1, trace_length,
-                          seed, use_trace_cache, trace_provider, backend)
+                          seed, use_trace_cache, trace_provider)
         for i, stats in zip(remaining, redone):
             out[i] = stats
     return out  # type: ignore[return-value]
@@ -515,17 +441,11 @@ class SweepPool:
 
     def __init__(self, jobs: Optional[int] = None, *,
                  trace_length: int = 400_000, seed: int = 1997,
-                 use_trace_cache: bool = True, backend: str = "auto") -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
-            )
+                 use_trace_cache: bool = True) -> None:
         self.jobs = default_jobs() if jobs is None else max(0, jobs)
         self.trace_length = trace_length
         self.seed = seed
         self.use_trace_cache = use_trace_cache
-        self.backend = backend
         self._mode = "process" if self.jobs >= 1 else "thread"
         self._executor: Optional[Executor] = None
 
@@ -550,8 +470,7 @@ class SweepPool:
                               self.use_trace_cache,
                               os.environ.get("REPRO_TRACE_CACHE"),  # repro-lint: ignore[det-env-read]
                               get_sink().ledger_path,
-                              tuple(plugin_modules()),
-                              self.backend),
+                              tuple(plugin_modules())),
                 )
             else:
                 self._executor = ThreadPoolExecutor(
@@ -559,18 +478,9 @@ class SweepPool:
                     thread_name_prefix="repro-sweep",
                     initializer=_init_worker,
                     initargs=(self.trace_length, self.seed,
-                              self.use_trace_cache, None, None, (),
-                              self.backend),
+                              self.use_trace_cache, None, None),
                 )
         return self._executor
-
-    def submit_cell(self, benchmark: str, config: EngineConfig,
-                    collect_mask: bool = False
-                    ) -> "Future[PredictionStats]":
-        """Submit one cell; returns the executor's future."""
-        return self.executor.submit(
-            _service_cell, benchmark, config, collect_mask
-        )
 
     def degrade_to_thread(self) -> None:
         """Swap a broken/unavailable process pool for the thread fallback.

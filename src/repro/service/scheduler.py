@@ -12,7 +12,8 @@ levels, in order of cheapness:
    one simulation.
 2. **Persistent cache short-circuit** — cells whose key is already in the
    shared :class:`~repro.runner.cache.ResultCache` resolve without
-   touching the pool (``service.cell.cache_hit``).
+   touching the pool (``service.cell.cache_hit``).  Cells of a predictor
+   kind that is not ``deterministic`` skip the cache and the claims.
 3. **Cross-process claims** — before computing, a shard takes an atomic
    claim file in the cache directory
    (:meth:`~repro.runner.cache.ResultCache.claim`).  Losing the claim
@@ -41,6 +42,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional
 from repro.obs import get_sink
 from repro.predictors import EngineConfig, PredictionStats
 from repro.runner import DEFAULT_CLAIM_TTL_S, ResultCache, SweepPool, cell_key
+from repro.runner.keys import cacheable
 from repro.runner.pool import _service_cell
 
 
@@ -207,7 +209,8 @@ class ShardScheduler:
                 self._inflight.pop(cell.key, None)
 
     async def _resolve(self, cell: _Cell) -> PredictionStats:
-        cache = self.result_cache
+        # A kind that is not deterministic never loads, claims or stores.
+        cache = self.result_cache if cacheable(cell.config) else None
         while True:
             if cache is not None:
                 hit = cache.load(cell.key, need_mask=cell.collect_mask)
@@ -226,7 +229,10 @@ class ShardScheduler:
                     continue
                 self.counters["claims_won"] += 1
             try:
-                return await self._compute(cell)
+                stats = await self._compute(cell)
+                if cache is not None:
+                    cache.store(cell.key, stats)
+                return stats
             finally:
                 if cache is not None:
                     cache.release(cell.key)
@@ -250,6 +256,4 @@ class ShardScheduler:
             )
         self.counters["computed"] += 1
         get_sink().incr("service.cell.computed")
-        if self.result_cache is not None:
-            self.result_cache.store(cell.key, stats)
         return stats

@@ -86,14 +86,14 @@ class SweepService:
                  pool: Optional[SweepPool] = None,
                  jobs: Optional[int] = None, shards: Optional[int] = None,
                  trace_length: int = 400_000, seed: int = 1997,
-                 use_trace_cache: bool = True, backend: str = "auto",
+                 use_trace_cache: bool = True,
                  result_cache: Optional[ResultCache] = None,
                  use_result_cache: bool = True) -> None:
         self.host = host
         self.port = port
         self.pool = pool if pool is not None else SweepPool(
             jobs, trace_length=trace_length, seed=seed,
-            use_trace_cache=use_trace_cache, backend=backend,
+            use_trace_cache=use_trace_cache,
         )
         if result_cache is None and use_result_cache:
             result_cache = ResultCache.from_env()
@@ -373,8 +373,7 @@ class SweepService:
             jobs_by_status[job.status] = jobs_by_status.get(job.status, 0) + 1
         return {
             "uptime_s": round(self._uptime_s(), 3),
-            "pool": {"mode": self.pool.mode, "workers": self.pool.workers,
-                     "backend": self.pool.backend},
+            "pool": {"mode": self.pool.mode, "workers": self.pool.workers},
             "scheduler": {
                 **counters,
                 "shards": self.scheduler.n_shards,

@@ -13,18 +13,20 @@ import tokenize
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.trace.trace import Trace
 
 _FORMAT_VERSION = 1
 
 #: What loading a torn, corrupt or stale archive raises.  A truncated npz
-#: fails with ``EOFError`` (no bytes left) or ``zipfile.BadZipFile``.  A
-#: flipped byte can also surface as ``zlib.error`` (a broken deflate
-#: stream), ``tokenize.TokenError`` (an unbalanced npy header),
+#: fails with ``EOFError`` or ``zipfile.BadZipFile``, and so does a member
+#: whose data no longer matches its CRC-32.  A flipped byte can also
+#: surface as ``zlib.error`` (a broken deflate stream),
+#: ``tokenize.TokenError`` (an unbalanced npy header),
 #: ``NotImplementedError`` (a zip version or compression method the reader
 #: lacks) or ``RuntimeError`` (a member flagged as encrypted).
 _CORRUPT_ARCHIVE_ERRORS = (ValueError, OSError, KeyError, EOFError,
@@ -64,26 +66,37 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         raise
 
 
+def _read_member(archive: zipfile.ZipFile, name: str) -> "npt.NDArray[Any]":
+    """One npy member, read to its end so that ``zipfile`` checks its CRC-32.
+
+    ``np.load`` stops at the array's last byte, before the end-of-member
+    check, so a flipped bit in the deflate data could load as a wrong
+    array; reading on raises ``zipfile.BadZipFile`` instead.
+    """
+    with archive.open(f"{name}.npy") as member:
+        array = np.lib.format.read_array(member, allow_pickle=False)
+        member.read()
+    return array
+
+
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace written by :func:`save_trace`."""
-    # Opened here rather than by ``np.load``, which leaves its own handle
-    # open when ``zipfile`` cannot parse a damaged archive.
-    with open(path, "rb") as handle, np.load(handle) as archive:
-        version = int(archive["version"])
+    with zipfile.ZipFile(path) as archive:
+        version = int(_read_member(archive, "version"))
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {version} in {path}"
             )
         return Trace(
-            pc=archive["pc"],
-            instr_class=archive["instr_class"],
-            branch_kind=archive["branch_kind"],
-            taken=archive["taken"],
-            target=archive["target"],
-            src1=archive["src1"],
-            src2=archive["src2"],
-            dst=archive["dst"],
-            mem_addr=archive["mem_addr"],
+            pc=_read_member(archive, "pc"),
+            instr_class=_read_member(archive, "instr_class"),
+            branch_kind=_read_member(archive, "branch_kind"),
+            taken=_read_member(archive, "taken"),
+            target=_read_member(archive, "target"),
+            src1=_read_member(archive, "src1"),
+            src2=_read_member(archive, "src2"),
+            dst=_read_member(archive, "dst"),
+            mem_addr=_read_member(archive, "mem_addr"),
         )
 
 

@@ -157,8 +157,7 @@ class TestShippedTree:
         from repro.analysis.obs_discipline import _imports_obs
 
         project = Project.load()
-        for relpath in ("runner/pool.py", "runner/cache.py",
-                        "predictors/streams.py", "bench.py",
+        for relpath in ("runner/pool.py", "runner/cache.py", "bench.py",
                         "experiments/common.py"):
             source = project.file(relpath)
             assert source is not None, relpath

@@ -124,12 +124,13 @@ class TestSuppression:
 
 class TestShippedModule:
     def test_shipped_vector_module_is_loop_free(self):
-        # The real module's two sanctioned loops carry suppressions; the
-        # checker itself must report them (run_lint filters them out).
+        # The real module's sanctioned loop (the per-kind counter fill)
+        # carries a suppression; the checker itself must report it
+        # (run_lint filters it out).
         project = Project.load()
         report = run_lint(project, checkers=[VectorHygieneChecker()])
         assert report.findings == [], [f.format() for f in report.findings]
-        assert report.suppressed >= 2
+        assert report.suppressed >= 1
 
     def test_vector_paths_exist_in_the_tree(self):
         project = Project.load()

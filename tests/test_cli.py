@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -85,21 +83,6 @@ def test_lint_only_comma_and_repeat_compose(capsys):
                  "--only", "bitwidth", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["checkers"]) == {"determinism", "hotloop", "bitwidth"}
-
-
-def test_backend_flag_is_validated(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table4", "--backend", "simd"])
-    assert excinfo.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_experiment_accepts_backend_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    assert main(["table4", "--trace-length", "40000",
-                 "--backend", "vector"]) == 0
-    out = capsys.readouterr().out
-    assert "Table 4" in out
 
 
 def test_unknown_experiment_fails(capsys):

@@ -4,11 +4,15 @@ Covers the built-in registrations (kinds, traits, factory classes,
 labels), the registration lifecycle (duplicate policy, unregister,
 plugin-module listing), and the end-to-end plugin contract: a kind
 registered outside ``repro.*`` runs through ``run_cells`` with a pool
-bit-identically to a serial run, with zero changes to the core.
+bit-identically to a serial run, with zero changes to the core, and a
+kind that is not ``deterministic`` never enters the result cache.
 """
+
+import asyncio
 
 import pytest
 
+from repro.guest.isa import BranchKind
 from repro.predictors import (
     EngineConfig,
     HistoryConfig,
@@ -94,11 +98,11 @@ class _CountingPredictor(TargetPredictor):
         pass
 
 
-def _register_counting(kind="_test_counting"):
+def _register_counting(kind="_test_counting", **traits):
     registry.register(
         kind,
         factory=lambda config: _CountingPredictor(),
-        traits=PredictorTraits(description="test-only stub"),
+        traits=PredictorTraits(description="test-only stub", **traits),
         provides=(_CountingPredictor,),
         spec_examples=(TargetCacheConfig(kind=kind),),
     )
@@ -199,3 +203,84 @@ class TestPluginEndToEnd:
                     == serial[1].indirect_mispred_rate)
         finally:
             registry.unregister(kind)
+
+
+def _numbers(stats):
+    """Every counter of ``stats``, comparable across cache round trips."""
+    return (stats.instructions, stats.btb_lookups, stats.btb_hits,
+            [(stats.counters(kind).executed, stats.counters(kind).mispredicted)
+             for kind in BranchKind])
+
+
+class TestNondeterministicKind:
+    """A kind declaring ``deterministic=False`` has no one result a cache
+    key could stand for, so the sweep runner and the sweep service never
+    load, claim or store its cells."""
+
+    TRACE_LENGTH = 20_000
+
+    @pytest.fixture
+    def config(self):
+        kind = _register_counting("_test_nondeterministic",
+                                  deterministic=False)
+        yield EngineConfig(target_cache=TargetCacheConfig(kind=kind))
+        registry.unregister(kind)
+
+    def _plant(self, cache, config):
+        """Store another cell's result under ``config``'s key."""
+        from repro.runner import SweepCell, cell_key, run_cells
+
+        key = cell_key("perl", config, self.TRACE_LENGTH, 1997)
+        foreign = run_cells([SweepCell("perl", EngineConfig(btb_sets=16))],
+                            jobs=1, trace_length=self.TRACE_LENGTH)[0]
+        cache.store(key, foreign)
+        fresh = run_cells([SweepCell("perl", config)], jobs=1,
+                          trace_length=self.TRACE_LENGTH)[0]
+        assert _numbers(fresh) != _numbers(foreign)
+        return key, foreign, fresh
+
+    def test_run_cells_and_cycles_bypass_the_result_cache(self, config,
+                                                          tmp_path):
+        from repro.experiments.common import ExperimentContext
+        from repro.runner import ResultCache, SweepCell, run_cells
+
+        cache = ResultCache(tmp_path / "planted")
+        key, foreign, fresh = self._plant(cache, config)
+        got = run_cells([SweepCell("perl", config)], jobs=1,
+                        trace_length=self.TRACE_LENGTH, result_cache=cache)
+        assert _numbers(got[0]) == _numbers(fresh)       # no load
+        assert _numbers(cache.load(key)) == _numbers(foreign)  # no store
+
+        ctx = ExperimentContext(trace_length=self.TRACE_LENGTH)
+        ctx.cycles("perl", config)
+        written = tmp_path / "result-cache"  # REPRO_RESULT_CACHE (conftest)
+        assert list(written.rglob("*.stats")) == []
+        assert list(written.rglob("*.cycles")) == []
+
+    def test_scheduler_skips_load_claim_and_store(self, config, tmp_path):
+        from repro.runner import ResultCache, SweepPool
+        from repro.service.scheduler import ShardScheduler
+
+        cache = ResultCache(tmp_path / "svc")
+        key, foreign, fresh = self._plant(cache, config)
+        # Another server holds the cell's claim: a scheduler that tried to
+        # claim it would wait for that server's store instead of computing.
+        assert cache.claim(key)
+
+        async def go():
+            with SweepPool(0, trace_length=self.TRACE_LENGTH) as pool:
+                scheduler = ShardScheduler(pool, shards=1, result_cache=cache)
+                results = [
+                    await asyncio.wait_for(
+                        scheduler.submit("perl", config), timeout=60)
+                    for _ in range(2)
+                ]
+                await scheduler.close()
+                return results, scheduler.counters
+
+        results, counters = asyncio.run(go())
+        assert [_numbers(stats) for stats in results] == [_numbers(fresh)] * 2
+        assert counters["computed"] == 2
+        assert counters["cache_hit"] == 0
+        assert counters["claims_won"] == counters["claims_lost"] == 0
+        assert _numbers(cache.load(key)) == _numbers(foreign)

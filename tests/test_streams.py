@@ -23,7 +23,6 @@ from repro.predictors import (
     build_streams,
     decode_branches,
     simulate,
-    simulate_many_streamed,
     simulate_streamed,
     stream_signature,
     streams_supported,
@@ -142,15 +141,6 @@ class TestEquivalenceAcrossWorkloads:
                 assert_identical(streamed, reference)
             # the amortisation claim: one stream set served many cells
             assert len(streams_memo) < len(REPRESENTATIVE_CONFIGS)
-
-    def test_simulate_many_streamed_matches_batch(self, perl_trace):
-        decoded = decode_branches(perl_trace)
-        configs = REPRESENTATIVE_CONFIGS[:8]
-        streamed = simulate_many_streamed(decoded, configs)
-        for config, got in zip(configs, streamed):
-            assert_identical(
-                got, simulate(perl_trace, config, decoded=decoded)
-            )
 
     def test_masks_optional_like_reference(self, perl_trace):
         decoded = decode_branches(perl_trace)

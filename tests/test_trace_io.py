@@ -14,16 +14,20 @@ from repro.trace.io import cached_trace, default_cache_dir, load_trace, save_tra
 from repro.trace.trace import Trace
 
 
-@pytest.fixture
-def trace():
+def _loop_trace(iterations):
     b = ProgramBuilder()
-    b.li(1, 3)
+    b.li(1, iterations)
     b.label("loop")
     b.addi(1, 1, -1)
     b.store(1, 1, 0x10000)
     b.bne(1, 0, "loop")
     b.halt()
     return Trace.from_raw(run_program(b.build()))
+
+
+@pytest.fixture
+def trace():
+    return _loop_trace(3)
 
 
 def test_roundtrip(tmp_path, trace):
@@ -152,6 +156,44 @@ def test_cached_trace_regenerates_an_encrypted_member(tmp_path, trace):
     with pytest.raises(RuntimeError, match="encrypted"):
         load_trace(victim)
     _regenerates(tmp_path, trace, victim)
+
+
+def test_cached_trace_regenerates_a_member_failing_its_crc(tmp_path):
+    """A member whose bytes no longer match its CRC-32 is an evicting miss,
+    even when the npy reader stops short of the member's end.
+
+    The archive is rewritten uncompressed, so the damage does not depend
+    on zlib's output: the ``mem_addr`` header-length field shrinks by 8,
+    the array then starts 8 bytes early and ends 8 bytes before the
+    member does.  ``zipfile`` checks the CRC only at a member's end, and
+    reads 4 KiB ahead, so with a column of a few thousand rows a reader
+    that stops at the array's last byte would return a shifted column.
+    """
+    trace = _loop_trace(1000)
+    cached_trace("key", lambda: trace, cache_dir=tmp_path)
+    victim = tmp_path / "key.npz"
+    with zipfile.ZipFile(victim) as archive:
+        members = {info.filename: archive.read(info)
+                   for info in archive.infolist()}
+    with zipfile.ZipFile(victim, "w") as archive:  # stored, not deflated
+        for name, payload in members.items():
+            archive.writestr(name, payload)
+    corrupt = bytearray(victim.read_bytes())
+    hlen_at = corrupt.index(members["mem_addr.npy"]) + 8
+    (hlen,) = struct.unpack_from("<H", corrupt, hlen_at)
+    struct.pack_into("<H", corrupt, hlen_at, hlen - 8)
+    victim.write_bytes(bytes(corrupt))
+    with pytest.raises(zipfile.BadZipFile, match="CRC"):
+        load_trace(victim)
+    calls = []
+
+    def generate():
+        calls.append(1)
+        return trace
+
+    assert cached_trace("key", generate, cache_dir=tmp_path) == trace
+    assert calls == [1]
+    assert load_trace(victim) == trace
 
 
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):

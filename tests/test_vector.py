@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.guest.isa import BranchKind
+from repro.obs import LedgerSink, install, read_ledger, shutdown
 from repro.predictors import (
     EngineConfig,
     HistoryConfig,
@@ -25,10 +26,10 @@ from repro.predictors import (
     build_streams,
     decode_branches,
     simulate,
-    simulate_many_vector,
     simulate_streamed,
     simulate_vector,
     stream_signature,
+    streams_supported,
     vector_supported,
 )
 from repro.predictors.btb import UpdateStrategy
@@ -36,7 +37,8 @@ from repro.predictors.direction import DirectionConfig
 from repro.predictors.history import PathFilter
 from repro.predictors.registry import registration
 from repro.predictors.vector import _last_write_predictions
-from repro.runner import BACKENDS, SweepCell, run_cells
+from repro.runner import SweepCell, SweepPool, run_cells
+from repro.runner.pool import _service_cell
 from repro.workloads import get_trace
 
 try:
@@ -116,6 +118,11 @@ FALLBACK_CONFIGS = [
     EngineConfig(target_cache=TargetCacheConfig(kind="ittage", entries=128)),
 ]
 
+#: History wider than the stream kernel's 64-bit registers feeding a target
+#: cache: neither stream tier can represent it, so the engine serves it.
+WIDE_CONFIG = EngineConfig(target_cache=TargetCacheConfig(),
+                           history=_pattern(bits=65))
+
 
 def assert_identical(a, b):
     assert a.instructions == b.instructions
@@ -153,15 +160,6 @@ class TestEquivalenceAcrossWorkloads:
             # the amortisation claim: one stream set served many cells
             assert len(streams_memo) < len(VECTOR_CONFIGS)
 
-    def test_simulate_many_vector_matches_batch(self, perl_trace):
-        decoded = decode_branches(perl_trace)
-        configs = VECTOR_CONFIGS[:8]
-        vectored = simulate_many_vector(decoded, configs)
-        for config, got in zip(configs, vectored):
-            assert_identical(
-                got, simulate(perl_trace, config, decoded=decoded)
-            )
-
     def test_masks_optional_like_reference(self, perl_trace):
         decoded = decode_branches(perl_trace)
         config = VECTOR_CONFIGS[5]
@@ -187,9 +185,7 @@ class TestSupport:
         # The vector tier sits above the stream kernel, so anything the
         # stream kernel rejects (history wider than 64 bits feeding a
         # target cache) is unsupported here too.
-        wide = EngineConfig(target_cache=TargetCacheConfig(),
-                            history=_pattern(bits=65))
-        assert not vector_supported(wide)
+        assert not vector_supported(WIDE_CONFIG)
 
     def test_backends_trait_ranks_vector_first(self):
         assert registration("tagless").traits.backends() == (
@@ -289,47 +285,72 @@ class TestLastWriteRecurrence:
 
 
 class TestRunnerFallback:
-    """run_cells degrades per cell: mixed sweeps stay bit-identical."""
+    """One cell path serves every entry point: the serial ``run_cells``
+    loop, the process pool and the sweep service's single-cell entry pick
+    the same tier per cell and return the same bytes."""
 
     TRACE_LENGTH = 20_000
 
-    def _cells(self):
-        return [
-            SweepCell("perl", config, collect_mask=True)
-            for config in (VECTOR_CONFIGS[2], FALLBACK_CONFIGS[0],
-                           VECTOR_CONFIGS[9], FALLBACK_CONFIGS[2],
-                           EngineConfig())
-        ]
+    #: one cell per tier: vector, streams, vector, streams, vector, engine
+    CONFIGS = (VECTOR_CONFIGS[2], FALLBACK_CONFIGS[0], VECTOR_CONFIGS[9],
+               FALLBACK_CONFIGS[2], EngineConfig(), WIDE_CONFIG)
 
-    def test_every_backend_is_bit_identical(self):
-        results = {
-            backend: run_cells(self._cells(), jobs=1,
-                               trace_length=self.TRACE_LENGTH,
-                               backend=backend)
-            for backend in BACKENDS
-        }
-        for backend in ("engine", "streams", "vector"):
-            for got, want in zip(results[backend], results["auto"]):
-                assert_identical(got, want)
+    def _cells(self, benchmark="perl", configs=CONFIGS):
+        return [SweepCell(benchmark, config, collect_mask=True)
+                for config in configs]
 
     def test_pool_path_matches_serial(self):
-        serial = run_cells(self._cells(), jobs=1,
-                           trace_length=self.TRACE_LENGTH, backend="vector")
-        pooled = run_cells(self._cells(), jobs=2,
-                           trace_length=self.TRACE_LENGTH, backend="vector")
-        for got, want in zip(pooled, serial):
-            assert_identical(got, want)
+        cells = self._cells()
+        assert [vector_supported(c.config) for c in cells] == [
+            True, False, True, False, True, False]
+        assert not streams_supported(WIDE_CONFIG)
+        serial = run_cells(cells, jobs=1, trace_length=self.TRACE_LENGTH)
+        pooled = run_cells(cells, jobs=2, trace_length=self.TRACE_LENGTH)
+        with SweepPool(0, trace_length=self.TRACE_LENGTH) as pool:
+            served = [
+                pool.executor.submit(_service_cell, cell.benchmark,
+                                     cell.config, cell.collect_mask).result()
+                for cell in cells
+            ]
+        for got in (pooled, served):
+            for a, b in zip(got, serial, strict=True):
+                assert a.mispredict_mask is not None
+                assert_identical(a, b)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_cells(self._cells(), jobs=1,
-                      trace_length=self.TRACE_LENGTH, backend="simd")
-
-    def test_experiment_context_validates_backend(self):
-        from repro.experiments.common import ExperimentContext
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExperimentContext(backend="simd")
+    def test_serial_call_builds_each_signature_once(self, tmp_path):
+        """A serial ``run_cells`` call builds one ``BranchStreams`` per
+        distinct (benchmark, signature) and reuses it for every other cell
+        of that pair; engine-tier cells build none."""
+        small_btb = (
+            EngineConfig(btb_sets=64,
+                         target_cache=TargetCacheConfig(kind="tagless"),
+                         history=_pattern()),
+            EngineConfig(btb_sets=64, target_cache=TargetCacheConfig(
+                kind="tagged", entries=64, assoc=1)),
+        )
+        cells = [cell for benchmark in ("perl", "gcc")
+                 for cell in self._cells(benchmark, self.CONFIGS + small_btb)]
+        ledger = tmp_path / "run.jsonl"
+        install(LedgerSink(ledger))
+        try:
+            run_cells(cells, jobs=1, trace_length=self.TRACE_LENGTH)
+        finally:
+            shutdown()
+        records = read_ledger(ledger)
+        pairs = {(cell.benchmark, stream_signature(cell.config))
+                 for cell in cells if streams_supported(cell.config)}
+        assert len(pairs) == 4
+        builds = [r["meta"]["benchmark"] for r in records
+                  if r["kind"] == "span" and r["name"] == "streams.build"]
+        assert sorted(builds) == sorted(benchmark for benchmark, _ in pairs)
+        reuses = sum(r["value"] for r in records
+                     if r["kind"] == "counter" and r["name"] == "streams.reuse")
+        streamed = sum(streams_supported(cell.config) for cell in cells)
+        assert reuses == streamed - len(pairs)
+        kernels = [r["meta"]["kernel"] for r in records
+                   if r["kind"] == "span" and r["name"] == "cell"]
+        assert sorted(set(kernels)) == ["reference", "stream", "vector"]
+        assert kernels.count("reference") == 2
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
