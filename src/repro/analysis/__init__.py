@@ -9,9 +9,14 @@ Two kinds of pass coexist in the registry:
 
 * **lexical** passes inspect files independently (determinism, bitwidth,
   hotloop, ...);
-* **interprocedural** passes (worker-safety, transitive-purity,
-  trait-contract) query the shared project call graph
-  (:mod:`repro.analysis.callgraph`), built once per lint run.
+* **interprocedural** passes (worker-safety, transitive-purity) query
+  the shared project call graph (:mod:`repro.analysis.callgraph`), built
+  once per lint run.
+
+What the predictor and switch-lowering registries declare is checked at
+runtime instead: :class:`~repro.predictors.registry.PredictorTraits`
+rejects contradictory traits when it is built, and the tier-1 tests
+hold every other registration contract (``docs/ANALYSIS.md``).
 
 One pass — :class:`~repro.analysis.suppressions.StaleSuppressionChecker`
 — audits the *other* passes' raw findings; :func:`run_lint` feeds it
@@ -31,15 +36,13 @@ from repro.analysis.base import (
     SourceFile,
 )
 from repro.analysis.bitwidth import BitWidthChecker
-from repro.analysis.cache_keys import CacheKeyChecker, RegistryChecker
+from repro.analysis.cache_keys import CacheKeyChecker
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.hotloop import HotLoopChecker
-from repro.analysis.lowering_registry import LoweringRegistryChecker
 from repro.analysis.obs_discipline import ObsDisciplineChecker
 from repro.analysis.purity import TransitivePurityChecker
 from repro.analysis.report import LintReport, describe_checkers
 from repro.analysis.suppressions import StaleSuppressionChecker
-from repro.analysis.traits_contract import TraitContractChecker
 from repro.analysis.vector_hygiene import VectorHygieneChecker
 from repro.analysis.worker_safety import WorkerSafetyChecker
 
@@ -52,13 +55,10 @@ __all__ = [
     "SourceFile",
     "BitWidthChecker",
     "CacheKeyChecker",
-    "RegistryChecker",
     "DeterminismChecker",
     "HotLoopChecker",
-    "LoweringRegistryChecker",
     "ObsDisciplineChecker",
     "StaleSuppressionChecker",
-    "TraitContractChecker",
     "TransitivePurityChecker",
     "VectorHygieneChecker",
     "WorkerSafetyChecker",
@@ -75,8 +75,6 @@ __all__ = [
 CHECKERS: List[Checker] = [
     DeterminismChecker(),
     CacheKeyChecker(),
-    RegistryChecker(),
-    LoweringRegistryChecker(),
     BitWidthChecker(),
     HotLoopChecker(),
     ObsDisciplineChecker(),
@@ -91,7 +89,6 @@ CHECKERS: List[Checker] = [
     # chain links a root to a service helper; it must never grow to
     # cover result-producing code (see docs/ANALYSIS.md).
     TransitivePurityChecker(skip_prefixes=("service/",)),
-    TraitContractChecker(),
     StaleSuppressionChecker(),
 ]
 

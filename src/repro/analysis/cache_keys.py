@@ -25,21 +25,10 @@ invariants into lint rules:
 ``cachekey-module-missing``
     A module list entry that does not import — a typo would silently hash
     nothing.
-``cachekey-spec-drift``
-    A field of a live config instance that does not appear in its
-    ``to_spec()`` rendering.  Since :func:`repro.runner.keys.cell_key`
-    fingerprints the spec, a dropped field would stop participating in the
-    result-cache key.
 
-The module also hosts :class:`RegistryChecker`, the predictor-registry
-companion pass: every concrete
-:class:`~repro.predictors.target_cache.base.TargetPredictor` subclass in
-the installed package must be reachable through a registration
-(``registry-unregistered-predictor``), every registration must carry spec
-examples (``registry-missing-spec-examples``) that survive the
-``from_spec(to_spec(...))`` round-trip with the registered kind
-(``registry-spec-roundtrip``), and labels must be parameterised rather
-than the bare kind string (``registry-bare-label``).
+That ``to_spec()`` renders every config field, which
+:func:`repro.runner.keys.cell_key` relies on, is a runtime contract and
+lives in ``tests/test_spec.py``.
 """
 
 from __future__ import annotations
@@ -108,11 +97,6 @@ class CacheKeyChecker:
             findings.extend(
                 check_token_completeness(instance, keys.config_token, project)
             )
-        findings.extend(
-            check_spec_completeness(
-                EngineConfig(target_cache=TargetCacheConfig()), project
-            )
-        )
         covered_engine = tuple(keys._ENGINE_CODE_MODULES)
         covered_timing = covered_engine + tuple(keys._TIMING_CODE_MODULES)
         anchor = module_list_anchor(project, "runner/keys.py")
@@ -400,54 +384,6 @@ def check_module_coverage(
     return findings
 
 
-# ----------------------------------------------------------------------
-# Spec-render completeness (rule: cachekey-spec-drift)
-# ----------------------------------------------------------------------
-def check_spec_completeness(
-    instance: Any, project: Optional[Project] = None
-) -> List[Finding]:
-    """Every dataclass field of ``instance`` must appear in its spec.
-
-    :func:`repro.runner.keys.cell_key` hashes ``config.to_spec()``; a field
-    that the spec codec drops would silently stop invalidating cached
-    results when it changes.
-    """
-    from repro.predictors.spec import to_spec
-
-    findings: List[Finding] = []
-
-    def compare(value: Any) -> None:
-        if not dataclasses.is_dataclass(value) or isinstance(value, type):
-            return
-        try:
-            rendered = to_spec(value)
-        except TypeError as exc:
-            relpath, line = _class_anchor(type(value), project)
-            findings.append(
-                Finding(
-                    "cachekey-spec-drift", relpath, line,
-                    f"to_spec failed on {type(value).__name__}: {exc}",
-                )
-            )
-            return
-        for f in dataclasses.fields(value):
-            if f.name not in rendered:
-                relpath, line = _class_anchor(type(value), project)
-                findings.append(
-                    Finding(
-                        "cachekey-spec-drift", relpath, line,
-                        f"field {type(value).__name__}.{f.name} is missing "
-                        "from its to_spec rendering; the result-cache key "
-                        "would ignore it",
-                    )
-                )
-            else:
-                compare(getattr(value, f.name))
-
-    compare(instance)
-    return findings
-
-
 def check_modules_exist(
     covered: Sequence[str], anchor: Tuple[str, int]
 ) -> List[Finding]:
@@ -466,124 +402,3 @@ def check_modules_exist(
                 )
             )
     return findings
-
-
-# ----------------------------------------------------------------------
-# Predictor-registry discipline
-# ----------------------------------------------------------------------
-def _concrete_subclasses(base: type) -> List[type]:
-    """All concrete (non-abstract) subclasses of ``base``, recursively."""
-    out: List[type] = []
-    stack = list(base.__subclasses__())
-    seen: Set[type] = set()
-    while stack:
-        cls = stack.pop()
-        if cls in seen:
-            continue
-        seen.add(cls)
-        stack.extend(cls.__subclasses__())
-        if not inspect.isabstract(cls):
-            out.append(cls)
-    return sorted(out, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
-
-
-def _registration_anchor(
-    module_name: str, project: Project
-) -> Tuple[str, int]:
-    """Anchor registration findings at the registering module's file."""
-    if module_name.startswith("repro"):
-        relpath = _module_relpath(module_name, project)
-        if relpath is not None:
-            return relpath, 1
-    return "predictors/registry.py", 1
-
-
-class RegistryChecker:
-    """Every predictor must be registered with a working declarative spec."""
-
-    name = "registry"
-    description = (
-        "TargetPredictor subclasses must be registered with spec examples "
-        "that round-trip and parameterised labels"
-    )
-
-    def run(self, project: Project) -> List[Finding]:
-        from repro.predictors.registry import registrations
-        from repro.predictors.target_cache.base import TargetPredictor
-
-        findings: List[Finding] = []
-        entries = registrations()
-        provided = {cls for reg in entries for cls in reg.provides}
-
-        # Rule registry-unregistered-predictor: a concrete predictor class
-        # in the installed package that no registration can build is dead
-        # to the declarative stack (specs, sweeps, presets, cache keys).
-        for cls in _concrete_subclasses(TargetPredictor):
-            if cls in provided or not cls.__module__.startswith("repro."):
-                continue
-            relpath, line = _class_anchor(cls, project)
-            findings.append(
-                Finding(
-                    "registry-unregistered-predictor", relpath, line,
-                    f"{cls.__module__}.{cls.__qualname__} subclasses "
-                    "TargetPredictor but no registry entry provides it; "
-                    "register it (or list it in an existing registration's "
-                    "'provides') so specs and sweeps can reach it",
-                )
-            )
-
-        for reg in entries:
-            relpath, line = _registration_anchor(reg.module, project)
-            # Rule registry-missing-spec-examples: the spec examples ARE
-            # the round-trip test hook; an empty tuple means nothing
-            # exercises this kind's declarative form.
-            if not reg.spec_examples:
-                findings.append(
-                    Finding(
-                        "registry-missing-spec-examples", relpath, line,
-                        f"kind '{reg.kind}' is registered without "
-                        "spec_examples; tests and this checker cannot "
-                        "verify its spec round-trip",
-                    )
-                )
-            for example in reg.spec_examples:
-                if example.kind != reg.kind:
-                    findings.append(
-                        Finding(
-                            "registry-spec-roundtrip", relpath, line,
-                            f"kind '{reg.kind}': spec example has kind "
-                            f"'{example.kind}'",
-                        )
-                    )
-                    continue
-                try:
-                    rebuilt = type(example).from_spec(example.to_spec())
-                except (TypeError, ValueError) as exc:
-                    findings.append(
-                        Finding(
-                            "registry-spec-roundtrip", relpath, line,
-                            f"kind '{reg.kind}': spec round-trip raised "
-                            f"{exc}",
-                        )
-                    )
-                    continue
-                if rebuilt != example:
-                    findings.append(
-                        Finding(
-                            "registry-spec-roundtrip", relpath, line,
-                            f"kind '{reg.kind}': from_spec(to_spec(cfg)) "
-                            "!= cfg for a spec example; the declarative "
-                            "form is lossy",
-                        )
-                    )
-                # Rule registry-bare-label: a label that collapses to the
-                # bare kind string loses the parameters in every table.
-                if reg.label(example) == reg.kind:
-                    findings.append(
-                        Finding(
-                            "registry-bare-label", relpath, line,
-                            f"kind '{reg.kind}': label() returns the bare "
-                            "kind string; give it a parameterised label",
-                        )
-                    )
-        return findings

@@ -3,7 +3,7 @@
 The per-file checkers (determinism, bitwidth, hotloop, ...) are lexical:
 they inspect one :class:`~repro.analysis.base.SourceFile` at a time and
 never need to know what a name *refers to*.  The interprocedural passes
-(worker-safety, transitive purity, trait-contract) do: they ask "which
+(worker-safety, transitive purity) do: they ask "which
 function does this call land in?", which requires a project-wide map from
 dotted names to definitions plus the import-alias plumbing to get from a
 local name to that map.

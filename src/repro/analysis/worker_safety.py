@@ -19,7 +19,7 @@ wherever the functions live.
     A ``global`` declaration, or a mutation (subscript/attribute store,
     ``.append``/``.update``-style call) whose target resolves to a
     module-level name — including through one local alias hop
-    (``state = _WORKER_STATE``).  Module state written by worker code is
+    (``state = _STATE``).  Module state written by worker code is
     per-process and invisible to the parent; deliberate per-worker memos
     carry suppressions explaining why they cannot leak into results.
 ``worker-env-mutate``
@@ -144,7 +144,7 @@ class WorkerSafetyChecker:
     ) -> List[Finding]:
         findings: List[Finding] = []
         aliases = module.aliases
-        # One alias hop: ``state = _WORKER_STATE`` makes writes through
+        # One alias hop: ``state = _STATE`` makes writes through
         # ``state`` writes to module state.
         shared_names: Dict[str, str] = {
             name: f"module-level name '{name}'"

@@ -32,9 +32,9 @@ Three lowerings ship by default:
 
 Lowerings must be pure functions of the switch *site* (selector, cases,
 weights from the workload spec): they never read the workload RNG, the
-clock, or the environment — ``repro lint`` enforces this (the
-``determinism`` scope and the ``lowering-registry`` check both cover
-this module).
+clock, or the environment — ``repro lint``'s ``determinism`` scope
+covers this module.  ``tests/test_guest_builder.py`` checks that every
+lowering is registered, labelled, and has a spec example that lowers.
 
 Registering a plugin lowering::
 
@@ -61,7 +61,7 @@ class LoweringPass:
 
     Subclasses define ``name`` (the registry key and the workload-facing
     knob value), ``label`` (a human-readable one-liner for listings), and
-    ``spec_example`` (a tiny example site the registry lint lowers in a
+    ``spec_example`` (a tiny example site the registry tests lower in a
     scratch builder to prove the pass emits well-formed code).
     """
 
@@ -70,7 +70,7 @@ class LoweringPass:
     #: Human-readable description shown by ``repro workloads --lowerings``.
     label: str = ""
     #: Example switch shape, e.g. ``{"cases": 8, "kind": "jump"}``; the
-    #: lowering-registry lint check lowers it in a scratch builder.
+    #: registry tests lower it in a scratch builder.
     spec_example: Dict[str, object] = {}
 
     def lower(self, b: "ProgramBuilder", site: "SwitchSite") -> None:

@@ -32,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-import numpy as np
 import numpy.typing as npt
 
 from repro.guest.isa import INSTRUCTION_BYTES, BranchKind, InstrClass

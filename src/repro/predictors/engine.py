@@ -290,8 +290,8 @@ class FetchEngine:
                 # backing level is pc-tagged, so it only answers for
                 # indirect jumps it was trained on.  Prediction-only — no
                 # BTB/RAS/history state changes.  The history argument is
-                # contractually ignored (needs_history=False, enforced by
-                # the trait-contract lint rule).
+                # contractually ignored (needs_history=False, enforced
+                # when its PredictorTraits is built).
                 guess = cache.predict(pc, 0)
                 predicted = guess if guess is not None else fallthrough
             else:

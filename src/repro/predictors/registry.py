@@ -11,9 +11,9 @@ with four things:
   kernel drive it?  is it oracle-style?  which config fields does its spec
   schema use?);
 * a parameterised **label** for experiment tables;
-* **spec examples** — configs that tests and the ``repro lint`` registry
-  checker push through the ``to_spec``/``from_spec`` round-trip, so a
-  registration without a working declarative spec is a lint finding.
+* **spec examples** — configs that ``tests/test_registry.py`` builds,
+  labels and pushes through the ``to_spec``/``from_spec`` round-trip, so
+  a registration without a working declarative spec fails tier-1.
 
 Downstream consumers only ever ask the registry: the fetch engine
 (:class:`~repro.predictors.engine.FetchEngine`) builds and routes through
@@ -98,9 +98,10 @@ class PredictorTraits:
         backing level is itself a pc-tagged structure).  Requires
         ``needs_history=False`` — on a BTB miss the engine has no
         fetch-time history capture for the branch, so only kinds that
-        contractually ignore the history value may backstop it (enforced
-        by the ``trait-contract`` lint checker).  Prediction-only: the
-        backstop never changes BTB, RAS, or history state.
+        contractually ignore the history value may backstop it — and
+        ``vectorizable=False``, because the vector kernel replays routed
+        rows only.  Prediction-only: the backstop never changes BTB, RAS,
+        or history state.
     ``deterministic``
         The predictor's outputs are a pure function of its inputs (all
         internal randomness is seeded).  Required for result-cache
@@ -114,6 +115,9 @@ class PredictorTraits:
         it, and spec files should set only these fields.
     ``description``
         One line for ``repro predictors``.
+
+    Construction raises ``ValueError`` for a combination no kernel can
+    honour, so a bad plugin fails when it registers, not mid-sweep.
     """
 
     description: str = ""
@@ -124,6 +128,24 @@ class PredictorTraits:
     predicts_on_btb_miss: bool = False
     deterministic: bool = True
     spec_fields: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.predicts_on_btb_miss and self.needs_history:
+            raise ValueError(
+                "predicts_on_btb_miss=True needs needs_history=False: on a "
+                "BTB miss the engine has no fetch-time history capture"
+            )
+        if self.predicts_on_btb_miss and self.vectorizable:
+            raise ValueError(
+                "predicts_on_btb_miss=True needs vectorizable=False: the "
+                "vector kernel replays routed rows only and would drop "
+                "BTB-miss predictions"
+            )
+        if self.vectorizable and not self.streams_supported:
+            raise ValueError(
+                "vectorizable=True needs streams_supported=True: the vector "
+                "tier consumes BranchStreams"
+            )
 
     def backends(self) -> Tuple[str, ...]:
         """Execution tiers that can serve this kind, fastest first."""
@@ -142,12 +164,12 @@ class PredictorRegistration:
     kind: str
     factory: Callable[[TargetCacheConfig], TargetPredictor]
     traits: PredictorTraits
-    #: concrete TargetPredictor classes the factory can return; the lint
-    #: registry checker uses this to prove every subclass is registered
+    #: concrete TargetPredictor classes the factory can return; the
+    #: registry tests use this to prove every subclass is registered
     provides: Tuple[Type[TargetPredictor], ...]
     #: parameterised table label for a config of this kind
     label: Callable[[TargetCacheConfig], str]
-    #: configs exercised by the spec round-trip test hook (tests + lint)
+    #: configs the registry tests build, label and round-trip
     spec_examples: Tuple[TargetCacheConfig, ...]
     #: module that performed the registration (worker propagation)
     module: str

@@ -71,10 +71,9 @@ def vector_supported(config: EngineConfig) -> bool:
     target_cache = config.target_cache
     if target_cache is None:
         return True
-    traits = registration(target_cache.kind).traits
-    # The vector kernel only replays routed rows; a predicts_on_btb_miss
-    # kind also predicts on BTB-missed rows, which it cannot express.
-    return traits.vectorizable and not traits.predicts_on_btb_miss
+    # PredictorTraits rejects vectorizable with predicts_on_btb_miss: the
+    # vector kernel replays routed rows only, never BTB-missed ones.
+    return registration(target_cache.kind).traits.vectorizable
 
 
 def _last_write_predictions(

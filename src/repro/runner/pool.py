@@ -43,6 +43,7 @@ the pool initializer and flush at chunk boundaries.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import (
     Executor,
@@ -52,7 +53,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs import attach_worker, get_sink
 from repro.predictors import (
@@ -157,20 +158,19 @@ def _simulate_cell(memo: _TraceMemo, config: EngineConfig,
 
 
 # ----------------------------------------------------------------------
-# Worker side.  State lives in module globals set by the pool initializer;
-# each worker loads a benchmark's trace into a memo at most once.
+# Worker side.  The pool initializer sets the state of the thread it runs
+# in, and the worker's tasks run on that same thread: a process worker's
+# one thread, or a thread-mode SweepPool's own thread, so thread-mode
+# pools in one process never share a trace length or memo.  Each worker
+# loads a benchmark's trace into a memo at most once.
 # ----------------------------------------------------------------------
-_WORKER_STATE: Optional[Dict[str, Any]] = None
+_WORKER = threading.local()
 
 
 def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
                  trace_cache_dir: Optional[str],
                  ledger_path: Optional[str],
                  predictor_plugins: Tuple[str, ...] = ()) -> None:
-    # The whole point of the initializer is to install per-worker state;
-    # it never leaks into results (cells are pure functions of their
-    # spec) and each worker owns its copy exclusively.
-    global _WORKER_STATE  # repro-lint: ignore[worker-global-write]
     if trace_cache_dir is not None:
         # Propagate the parent's cache location even under a spawn start
         # method, where mutated parent environment is not inherited.
@@ -186,7 +186,10 @@ def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
         # fork start method the registrations are inherited anyway; this
         # covers spawn, where the worker starts from a fresh interpreter.
         load_plugins(predictor_plugins)
-    _WORKER_STATE = {
+    # The whole point of the initializer is to install per-worker state;
+    # it never leaks into results (cells are pure functions of their
+    # spec) and each worker thread owns its copy exclusively.
+    _WORKER.state = {  # repro-lint: ignore[worker-global-write]
         "trace_length": trace_length,
         "seed": seed,
         "use_trace_cache": use_trace_cache,
@@ -197,7 +200,7 @@ def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
 def _run_chunk(benchmark: str,
                items: List[Tuple[int, EngineConfig, bool]]
                ) -> List[Tuple[int, PredictionStats]]:
-    state = _WORKER_STATE
+    state = getattr(_WORKER, "state", None)
     assert state is not None, "worker used before _init_worker"
     memo = state["memos"].get(benchmark)
     if memo is None:
@@ -207,7 +210,7 @@ def _run_chunk(benchmark: str,
         ))
         # Per-worker memo: keyed by benchmark, value deterministic given
         # the spec, so replication across workers cannot diverge.
-        state["memos"][benchmark] = memo  # repro-lint: ignore[worker-global-write]
+        state["memos"][benchmark] = memo
     out = [(index, _simulate_cell(memo, config, collect_mask))
            for index, config, collect_mask in items]
     # Chunk boundary: persist this worker's shard so nothing is lost if
@@ -430,8 +433,9 @@ class SweepPool:
     applies unchanged.  ``jobs == 0`` (or :meth:`degrade_to_thread` after
     a broken/unavailable process pool) swaps in a single-thread executor
     that runs :func:`_init_worker` in its one thread: the same worker
-    machinery, serialised, with no fork — the fallback for sandboxed
-    environments and the deterministic mode tests use.
+    machinery, serialised, with no fork and with worker state of its own
+    — the fallback for sandboxed environments and the deterministic mode
+    tests use.
 
     Thread mode deliberately passes ``ledger_path=None`` and
     ``trace_cache_dir=None`` to the initializer: the "worker" shares the

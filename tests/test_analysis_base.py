@@ -91,10 +91,9 @@ class TestRegistryAndReport:
     def test_registry_names_are_unique(self):
         names = [checker.name for checker in CHECKERS]
         assert len(names) == len(set(names))
-        assert set(names) == {"determinism", "cache-keys", "registry",
-                              "lowering-registry", "bitwidth", "hotloop",
-                              "obs", "vector-hygiene", "worker-safety",
-                              "transitive-purity", "trait-contract",
+        assert set(names) == {"determinism", "cache-keys", "bitwidth",
+                              "hotloop", "obs", "vector-hygiene",
+                              "worker-safety", "transitive-purity",
                               "stale-suppression"}
 
     def test_only_filters_checkers(self):

@@ -8,17 +8,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.base import Project, SourceFile
 from repro.analysis.cache_keys import (
     CacheKeyChecker,
-    RegistryChecker,
     check_config_fields,
     check_module_coverage,
     check_modules_exist,
-    check_spec_completeness,
     check_token_completeness,
     import_closure,
     internal_imports,
 )
 from repro.pipeline import MachineConfig
-from repro.predictors import EngineConfig, PredictorTraits, TargetCacheConfig
+from repro.predictors import EngineConfig, TargetCacheConfig
 from repro.runner.keys import config_token
 
 
@@ -223,145 +221,3 @@ class TestModuleCoverage:
     def test_shipped_tree_coverage_holds(self):
         findings = CacheKeyChecker().run(Project.load())
         assert findings == [], [f.format() for f in findings]
-
-
-# ----------------------------------------------------------------------
-# Spec-render completeness
-# ----------------------------------------------------------------------
-class TestSpecCompleteness:
-    def test_shipped_configs_render_completely(self):
-        config = EngineConfig(target_cache=TargetCacheConfig())
-        assert check_spec_completeness(config) == []
-
-    def test_unrenderable_field_is_flagged(self):
-        bad = dataclasses.make_dataclass(
-            "BadSpecConfig", [("excluded", Set[int], field(default=None))]
-        )
-        findings = check_spec_completeness(bad(excluded={1}))
-        assert _rules(findings) == ["cachekey-spec-drift"]
-        assert "to_spec failed" in findings[0].message
-
-    def test_dropped_field_is_flagged(self, monkeypatch):
-        # Known-bad fixture: a codec that silently drops one field; the
-        # cache key built from its output would ignore btb_sets edits.
-        import repro.predictors.spec as spec_codec
-
-        real = spec_codec.to_spec
-
-        def lossy(value):
-            rendered = real(value)
-            rendered.pop("btb_sets", None)
-            return rendered
-
-        monkeypatch.setattr(spec_codec, "to_spec", lossy)
-        findings = check_spec_completeness(EngineConfig())
-        assert _rules(findings) == ["cachekey-spec-drift"]
-        assert "btb_sets" in findings[0].message
-
-    def test_nested_configs_are_checked(self, monkeypatch):
-        import repro.predictors.spec as spec_codec
-
-        real = spec_codec.to_spec
-
-        def lossy(value):
-            rendered = real(value)
-            if isinstance(value, TargetCacheConfig):
-                rendered.pop("tag_bits", None)
-            return rendered
-
-        monkeypatch.setattr(spec_codec, "to_spec", lossy)
-        findings = check_spec_completeness(
-            EngineConfig(target_cache=TargetCacheConfig())
-        )
-        assert _rules(findings) == ["cachekey-spec-drift"]
-        assert "tag_bits" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# Predictor-registry discipline
-# ----------------------------------------------------------------------
-class TestRegistryChecker:
-    def test_shipped_tree_is_clean(self):
-        findings = RegistryChecker().run(Project.load())
-        assert findings == [], [f.format() for f in findings]
-
-    def _stub_predictor(self):
-        from repro.predictors.target_cache.base import TargetPredictor
-
-        class Stub(TargetPredictor):
-            def predict(self, pc, history):
-                return None
-
-            def update(self, pc, history, target):
-                pass
-
-            def reset(self):
-                pass
-
-        return Stub
-
-    def test_unregistered_predictor_is_flagged(self):
-        import gc
-
-        stub = self._stub_predictor()
-        stub.__module__ = "repro._lint_test_stub"
-        try:
-            findings = RegistryChecker().run(Project.load())
-            assert "registry-unregistered-predictor" in _rules(findings)
-            assert any("_lint_test_stub" in f.message for f in findings)
-        finally:
-            # drop the class so later shipped-tree assertions stay clean
-            del stub
-            gc.collect()
-
-    def test_missing_spec_examples_is_flagged(self):
-        from repro.predictors import registry
-
-        stub = self._stub_predictor()
-        registry.register(
-            "_lint_no_examples",
-            factory=lambda config: stub(),
-            traits=PredictorTraits(description="test stub"),
-            provides=(stub,),
-            spec_examples=(),
-        )
-        try:
-            findings = RegistryChecker().run(Project.load())
-            assert "registry-missing-spec-examples" in _rules(findings)
-        finally:
-            registry.unregister("_lint_no_examples")
-
-    def test_mismatched_example_kind_is_flagged(self):
-        from repro.predictors import registry
-
-        stub = self._stub_predictor()
-        registry.register(
-            "_lint_bad_example",
-            factory=lambda config: stub(),
-            traits=PredictorTraits(description="test stub"),
-            provides=(stub,),
-            spec_examples=(TargetCacheConfig(kind="tagless"),),
-        )
-        try:
-            findings = RegistryChecker().run(Project.load())
-            assert "registry-spec-roundtrip" in _rules(findings)
-        finally:
-            registry.unregister("_lint_bad_example")
-
-    def test_bare_label_is_flagged(self):
-        from repro.predictors import registry
-
-        stub = self._stub_predictor()
-        registry.register(
-            "_lint_bare_label",
-            factory=lambda config: stub(),
-            traits=PredictorTraits(description="test stub"),
-            provides=(stub,),
-            label=lambda config: "_lint_bare_label",
-            spec_examples=(TargetCacheConfig(kind="_lint_bare_label"),),
-        )
-        try:
-            findings = RegistryChecker().run(Project.load())
-            assert "registry-bare-label" in _rules(findings)
-        finally:
-            registry.unregister("_lint_bare_label")

@@ -1,6 +1,6 @@
-"""The interprocedural layer: symbol index, call graph, and the three
-checkers built on it (worker-safety, transitive-purity, trait-contract),
-plus the stale-suppression audit."""
+"""The interprocedural layer: symbol index, call graph, and the two
+checkers built on it (worker-safety, transitive-purity), plus the
+stale-suppression audit."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.analysis import (
     Project,
     SourceFile,
     StaleSuppressionChecker,
-    TraitContractChecker,
     TransitivePurityChecker,
     WorkerSafetyChecker,
     run_lint,
@@ -17,8 +16,6 @@ from repro.analysis.base import Finding
 from repro.analysis.callgraph import CallGraph, project_callgraph
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.symbols import SymbolIndex, module_name
-from repro.predictors import PredictorTraits, TargetCacheConfig, registry
-from repro.predictors.target_cache.base import TargetPredictor
 
 
 @pytest.fixture(scope="module")
@@ -285,112 +282,6 @@ class TestTransitivePurity:
     def test_real_tree_is_clean(self, real_project):
         report = run_lint(project=real_project, only=["transitive-purity"])
         assert report.clean, report.to_text()
-
-
-# ----------------------------------------------------------------------
-# trait-contract
-# ----------------------------------------------------------------------
-class _SchemelessPredictor(TargetPredictor):
-    """Claims vectorizable+needs_history but exposes no IndexScheme."""
-
-    def predict(self, pc, history):
-        return None
-
-    def update(self, pc, history, target):
-        pass
-
-    def reset(self):
-        pass
-
-
-class TestTraitContract:
-    def _run(self, project):
-        return TraitContractChecker().run(project)
-
-    def test_real_registry_is_clean(self, real_project):
-        report = run_lint(project=real_project, only=["trait-contract"])
-        assert report.clean, report.to_text()
-
-    def test_vector_dispatch_claim_without_scheme_flagged(self, real_project):
-        kind = "_test_schemeless"
-        registry.register(
-            kind,
-            factory=lambda config: _SchemelessPredictor(),
-            traits=PredictorTraits(
-                description="broken vector claim",
-                vectorizable=True,
-                needs_history=True,
-            ),
-            provides=(_SchemelessPredictor,),
-            spec_examples=(TargetCacheConfig(kind=kind),),
-        )
-        try:
-            rules = {f.rule for f in self._run(real_project)}
-        finally:
-            registry.unregister(kind)
-        assert "trait-vector-dispatch" in rules
-
-    def test_vectorizable_without_streams_flagged(self, real_project):
-        kind = "_test_no_streams"
-        registry.register(
-            kind,
-            factory=lambda config: _SchemelessPredictor(),
-            traits=PredictorTraits(
-                description="vector claim the backend chain drops",
-                vectorizable=True,
-                streams_supported=False,
-            ),
-            provides=(_SchemelessPredictor,),
-        )
-        try:
-            rules = {f.rule for f in self._run(real_project)}
-        finally:
-            registry.unregister(kind)
-        assert "trait-backend-chain" in rules
-
-    def test_factory_provides_mismatch_flagged(self, real_project):
-        kind = "_test_liar"
-        registry.register(
-            kind,
-            factory=lambda config: _SchemelessPredictor(),
-            traits=PredictorTraits(description="provides tuple lies"),
-            # Claims to build the real tagless predictor class.
-            provides=(
-                type(
-                    registry.build_target_cache(
-                        TargetCacheConfig(kind="tagless")
-                    )
-                ),
-            ),
-            spec_examples=(TargetCacheConfig(kind=kind),),
-        )
-        try:
-            rules = {f.rule for f in self._run(real_project)}
-        finally:
-            registry.unregister(kind)
-        assert "trait-factory-provides" in rules
-
-    def test_raising_factory_flagged(self, real_project):
-        kind = "_test_raiser"
-
-        def factory(config):
-            raise RuntimeError("boom")
-
-        registry.register(
-            kind,
-            factory=factory,
-            traits=PredictorTraits(description="factory raises"),
-            provides=(_SchemelessPredictor,),
-            spec_examples=(TargetCacheConfig(kind=kind),),
-        )
-        try:
-            findings = self._run(real_project)
-        finally:
-            registry.unregister(kind)
-        assert any(
-            f.rule == "trait-factory-provides" and "boom" in f.message
-            for f in findings
-        )
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from typing import Dict
 
 import pytest
 
-from repro.guest.isa import InstrClass
 from repro.pipeline import MachineConfig
 from repro.predictors import (
     EngineConfig,

@@ -1,5 +1,7 @@
 """Unit tests for the program builder (the embedded assembler)."""
 
+import gc
+
 import pytest
 
 from repro.guest.builder import BuilderError, ProgramBuilder
@@ -308,12 +310,88 @@ def test_switch_records_sites():
 # Lowering registry and the clustering algorithm
 # ----------------------------------------------------------------------
 
-def test_lowering_registry_contents():
+def lowering_problems(name):
+    """Every way lowering ``name`` breaks the registry's contract; empty if
+    none.  ``repro workloads --lowerings`` prints its label, and its spec
+    example is the representative ``switch()`` that must lower cleanly."""
+    lowering = get_lowering(name)
+    problems = []
+    if not lowering.label:
+        problems.append("no label")
+    example = lowering.spec_example
+    if not example:
+        return problems + ["no spec example"]
+    try:
+        builder = ProgramBuilder(lowering=name)
+        labels = [f"case_{i}" for i in range(example.get("cases", 4))]
+        builder.switch(5, builder.switch_table(labels),
+                       kind=example.get("kind", "jump"),
+                       weights=example.get("weights"), stem="example_sw")
+        for label in labels:
+            builder.label(label)
+            builder.halt()
+        builder.build()
+    except (BuilderError, TypeError, ValueError) as exc:
+        problems.append(f"spec example does not lower: {exc}")
+    return problems
+
+
+def unregistered_lowerings():
+    """``LoweringPass`` subclasses in ``repro.*`` the registry cannot name:
+    no workload, ``name@lowering`` or CLI listing can reach them."""
+    registered = {type(get_lowering(name)) for name in lowering_names()}
+    classes, stack = [], list(LoweringPass.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") and cls not in registered:
+            classes.append(f"{cls.__module__}.{cls.__qualname__}")
+    return sorted(classes)
+
+
+def test_builtin_lowerings_are_registered():
     assert {"jump_table", "if_tree", "clustered"} <= set(lowering_names())
-    for name in lowering_names():
-        lowering = get_lowering(name)
-        assert lowering.label
-        assert lowering.spec_example
+
+
+@pytest.mark.parametrize("name", lowering_names())
+def test_lowering_registry_contents(name):
+    assert lowering_problems(name) == []
+
+
+def test_every_lowering_pass_is_registered():
+    assert unregistered_lowerings() == []
+
+
+@pytest.mark.parametrize("name,attribute,value,problem", [
+    ("jump_table", "label", "", "no label"),
+    ("if_tree", "spec_example", {}, "no spec example"),
+    ("clustered", "spec_example", {"cases": 0}, "does not lower"),
+    # wrong arity: 2 weights for 4 cases must fail the scratch build
+    ("clustered", "spec_example", {"cases": 4, "weights": [1, 2]},
+     "does not lower"),
+], ids=["missing-label", "missing-spec-example", "broken-spec-example",
+        "wrong-arity-weights"])
+def test_lowering_contract_names_a_planted_defect(monkeypatch, name,
+                                                  attribute, value, problem):
+    monkeypatch.setattr(type(get_lowering(name)), attribute, value)
+    [found] = lowering_problems(name)
+    assert problem in found
+
+
+def test_unregistered_lowering_pass_is_named():
+    class Stub(LoweringPass):
+        name = "_test_stub"
+        label = "stub"
+
+    Stub.__module__ = "repro.guest.lowering"
+    try:
+        assert unregistered_lowerings() == [
+            f"repro.guest.lowering.{Stub.__qualname__}"
+        ]
+    finally:
+        # drop the class so the shipped-registry check stays clean
+        del Stub
+        gc.collect()
 
 
 def test_get_lowering_unknown_lists_available():

@@ -1,17 +1,25 @@
 """The predictor registry: the single point of kind-string dispatch.
 
-Covers the built-in registrations (kinds, traits, factory classes,
-labels), the registration lifecycle (duplicate policy, unregister,
-plugin-module listing), and the end-to-end plugin contract: a kind
-registered outside ``repro.*`` runs through ``run_cells`` with a pool
-bit-identically to a serial run, with zero changes to the core, and a
-kind that is not ``deterministic`` never enters the result cache.
+Covers the registry's contract (:func:`registration_problems` on every
+registration, :func:`unregistered_predictors` over the package, and the
+trait combinations :class:`PredictorTraits` rejects), the registration
+lifecycle (duplicate policy, unregister, plugin-module listing), and the
+end-to-end plugin contract: a kind registered outside ``repro.*`` runs
+through ``run_cells`` with a pool bit-identically to a serial run, with
+zero changes to the core, and a kind that is not ``deterministic`` never
+enters the result cache.
 """
 
 import asyncio
+import gc
+import importlib
+import inspect
+import pkgutil
+from contextlib import contextmanager
 
 import pytest
 
+import repro.predictors
 from repro.guest.isa import BranchKind
 from repro.predictors import (
     EngineConfig,
@@ -20,19 +28,82 @@ from repro.predictors import (
     TargetCacheConfig,
 )
 from repro.predictors import registry
-from repro.predictors.target_cache import (
-    CascadedTargetCache,
-    ITTageLite,
-    LastTargetPredictor,
-    OracleTargetPredictor,
-    TaggedTargetCache,
-    TaglessTargetCache,
-    TargetPredictor,
-)
-
+from repro.predictors.indexing import IndexScheme
+from repro.predictors.target_cache import TaglessTargetCache, TargetPredictor
+from repro.runner import keys
 
 BUILTIN_KINDS = ["btb2", "cascaded", "ittage", "last_target", "oracle",
                  "tagged", "tagless"]
+
+
+def registration_problems(reg):
+    """Every way ``reg`` breaks the registry's contract; empty if none.
+
+    Spec files, sweeps and cache keys go through a kind's spec examples,
+    tables print its label, the tier dispatch trusts its traits, and the
+    result-cache fingerprint must cover the code of what it builds.
+    """
+    problems = []
+    traits = reg.traits
+    if not reg.spec_examples:
+        problems.append("no spec examples")
+    for cls in reg.provides:
+        module = cls.__module__
+        if module.startswith("repro.") and not any(
+            module == entry or module.startswith(entry + ".")
+            for entry in keys._ENGINE_CODE_MODULES
+        ):
+            problems.append(
+                f"provides {module}.{cls.__qualname__}, which the code "
+                "fingerprint does not cover"
+            )
+    for example in reg.spec_examples:
+        if example.kind != reg.kind:
+            problems.append(f"spec example of kind {example.kind!r}")
+            continue
+        try:
+            lossless = TargetCacheConfig.from_spec(example.to_spec()) == example
+        except (TypeError, ValueError) as exc:
+            problems.append(f"spec round trip raised {exc}")
+        else:
+            if not lossless:
+                problems.append(f"spec round trip is lossy for {example}")
+        if reg.label(example) == reg.kind:
+            problems.append("label is the bare kind")
+        try:
+            built = reg.factory(example)
+        except Exception as exc:
+            problems.append(f"factory raised {exc!r}")
+            continue
+        if not isinstance(built, reg.provides):
+            problems.append(
+                f"factory built {type(built).__qualname__}, which it does "
+                "not provide"
+            )
+        if (traits.vectorizable and traits.needs_history
+                and not traits.is_oracle
+                and not isinstance(getattr(built, "scheme", None),
+                                   IndexScheme)):
+            problems.append("vectorizable, but the built predictor has no "
+                            "IndexScheme scheme")
+    return problems
+
+
+def unregistered_predictors():
+    """Concrete ``TargetPredictor`` classes in ``repro.*`` no registration
+    provides: no spec, sweep or preset can reach them."""
+    for module in pkgutil.walk_packages(repro.predictors.__path__,
+                                        "repro.predictors."):
+        importlib.import_module(module.name)
+    provided = {cls for reg in registry.registrations() for cls in reg.provides}
+    classes, stack = [], list(TargetPredictor.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if (cls.__module__.startswith("repro.") and cls not in provided
+                and not inspect.isabstract(cls)):
+            classes.append(f"{cls.__module__}.{cls.__qualname__}")
+    return sorted(classes)
 
 
 class TestBuiltins:
@@ -47,19 +118,13 @@ class TestBuiltins:
             assert reg.spec_examples, f"{reg.kind}: no spec examples"
             assert reg.module.startswith("repro.")
 
-    @pytest.mark.parametrize("kind,cls", [
-        ("tagless", TaglessTargetCache),
-        ("tagged", TaggedTargetCache),
-        ("cascaded", CascadedTargetCache),
-        ("ittage", ITTageLite),
-        ("oracle", OracleTargetPredictor),
-        ("last_target", LastTargetPredictor),
-    ])
-    def test_factory_builds_the_advertised_class(self, kind, cls):
-        reg = registry.registration(kind)
-        built = registry.build_target_cache(TargetCacheConfig(kind=kind))
-        assert isinstance(built, cls)
-        assert cls in reg.provides
+    @pytest.mark.parametrize("reg", registry.registrations(),
+                             ids=lambda reg: reg.kind)
+    def test_registration_keeps_the_contract(self, reg):
+        assert registration_problems(reg) == []
+
+    def test_every_predictor_class_is_registered(self):
+        assert unregistered_predictors() == []
 
     def test_traits(self):
         assert registry.traits_for("oracle").is_oracle
@@ -178,6 +243,126 @@ class TestLifecycle:
 
     def test_load_plugins_skips_main(self):
         registry.load_plugins(["__main__"])  # must not raise
+
+
+@contextmanager
+def _planted(**overrides):
+    """Register a stub kind that keeps the contract unless ``overrides``
+    plant a defect; yield its registration."""
+    kind = "_test_planted"
+    fields = dict(
+        factory=lambda config: _CountingPredictor(),
+        traits=PredictorTraits(description="test-only stub"),
+        provides=(_CountingPredictor,),
+        spec_examples=(TargetCacheConfig(kind=kind),),
+    )
+    fields.update(overrides)
+    reg = registry.register(kind, **fields)
+    try:
+        yield reg
+    finally:
+        registry.unregister(kind)
+
+
+class TestPlantedDefects:
+    """The contract names each defect planted in an otherwise valid
+    registration (or, for the last two, in the package and in the code
+    fingerprint lists)."""
+
+    def test_missing_spec_examples(self):
+        with _planted(spec_examples=()) as reg:
+            assert registration_problems(reg) == ["no spec examples"]
+
+    def test_example_of_another_kind(self):
+        examples = (TargetCacheConfig(kind="tagless"),)
+        with _planted(spec_examples=examples) as reg:
+            assert registration_problems(reg) == [
+                "spec example of kind 'tagless'"
+            ]
+
+    def test_lossy_spec_round_trip(self, monkeypatch):
+        real = TargetCacheConfig.to_spec
+
+        def lossy(config):
+            spec = real(config)
+            spec.pop("history_bits")
+            return spec
+
+        monkeypatch.setattr(TargetCacheConfig, "to_spec", lossy)
+        problems = registration_problems(registry.registration("tagless"))
+        assert problems and all("lossy" in p for p in problems)
+
+    def test_bare_label(self):
+        with _planted(label=lambda config: "_test_planted") as reg:
+            assert registration_problems(reg) == ["label is the bare kind"]
+
+    def test_factory_builds_a_class_it_does_not_provide(self):
+        with _planted(provides=(TaglessTargetCache,)) as reg:
+            assert registration_problems(reg) == [
+                "factory built _CountingPredictor, which it does not provide"
+            ]
+
+    def test_raising_factory(self):
+        def factory(config):
+            raise RuntimeError("boom")
+
+        with _planted(factory=factory) as reg:
+            [problem] = registration_problems(reg)
+        assert "boom" in problem
+
+    def test_vectorizable_kind_without_an_index_scheme(self):
+        traits = PredictorTraits(description="broken vector claim",
+                                 vectorizable=True, needs_history=True)
+        with _planted(traits=traits) as reg:
+            assert registration_problems(reg) == [
+                "vectorizable, but the built predictor has no IndexScheme "
+                "scheme"
+            ]
+
+    def test_provider_outside_the_code_fingerprint(self, monkeypatch):
+        monkeypatch.setattr(keys, "_ENGINE_CODE_MODULES",
+                            ("repro.guest.isa", "repro.trace.trace"))
+        assert registration_problems(registry.registration("tagless")) == [
+            "provides repro.predictors.target_cache.tagless."
+            "TaglessTargetCache, which the code fingerprint does not cover"
+        ]
+
+    def test_unregistered_predictor_class(self):
+        class Stub(TargetPredictor):
+            def predict(self, pc, history):
+                return None
+
+            def update(self, pc, history, target):
+                pass
+
+            def reset(self):
+                pass
+
+        Stub.__module__ = "repro._test_stub"
+        try:
+            assert unregistered_predictors() == [
+                f"repro._test_stub.{Stub.__qualname__}"
+            ]
+        finally:
+            # drop the class so the shipped-package check stays clean
+            del Stub
+            gc.collect()
+
+
+class TestTraitCombinations:
+    """``PredictorTraits`` rejects what no kernel can honour when it is
+    built, so a bad plugin fails at registration, not mid-sweep."""
+
+    @pytest.mark.parametrize("traits,reason", [
+        (dict(predicts_on_btb_miss=True), "needs_history=False"),
+        (dict(predicts_on_btb_miss=True, needs_history=False,
+              vectorizable=True), "vectorizable=False"),
+        (dict(vectorizable=True, streams_supported=False),
+         "streams_supported=True"),
+    ], ids=["backstop-history", "backstop-vector", "no-streams"])
+    def test_contradictory_traits_are_rejected(self, traits, reason):
+        with pytest.raises(ValueError, match=reason):
+            PredictorTraits(**traits)
 
 
 class TestPluginEndToEnd:

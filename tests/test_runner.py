@@ -203,6 +203,29 @@ class TestPoolFallback:
             assert_identical(got, want)
 
 
+class TestSweepPoolWorkerState:
+    """Every ``SweepPool`` computes with its own trace length, including
+    thread-mode pools, whose initializer runs in the parent process."""
+
+    @staticmethod
+    def _instructions(pool):
+        from repro.runner.pool import _service_cell
+
+        future = pool.executor.submit(_service_cell, "perl", EngineConfig())
+        return future.result().instructions
+
+    def test_pools_in_one_process_do_not_share_state(self):
+        from repro.runner import SweepPool
+
+        with SweepPool(0, trace_length=5_000) as first, \
+                SweepPool(0, trace_length=8_000) as second, \
+                SweepPool(1, trace_length=6_000) as process:
+            assert self._instructions(first) == 5_000
+            assert self._instructions(second) == 8_000
+            assert self._instructions(process) == 6_000
+            assert self._instructions(first) == 5_000
+
+
 class TestSplitChunks:
     """Edge cases of the chunking helper behind ``run_cells``."""
 

@@ -12,10 +12,12 @@ Three contracts pin the registry-era architecture:
    registry changed no simulated result.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.predictors.spec as spec_codec
 from repro.experiments import configs as preset_configs
 from repro.experiments.table4 import SCHEMES as TABLE4_SCHEMES
 from repro.experiments.table4 import _config as table4_config
@@ -89,22 +91,66 @@ def test_round_trip_corners(config):
     assert EngineConfig.from_spec(spec) == config
 
 
+def spec_drift(config):
+    """Fields of ``config``, recursively, that its spec leaves out.
+
+    :func:`repro.runner.keys.cell_key` hashes the spec, so a field the
+    codec drops would stop invalidating cached results when it changes.
+    """
+    try:
+        spec = spec_codec.to_spec(config)
+    except TypeError as exc:
+        return [f"to_spec failed on {type(config).__name__}: {exc}"]
+
+    def missing(value, rendered):
+        out = []
+        for f in dataclasses.fields(value):
+            nested = getattr(value, f.name)
+            if f.name not in rendered:
+                out.append(f"{type(value).__name__}.{f.name}")
+            elif dataclasses.is_dataclass(nested):
+                out += missing(nested, rendered[f.name])
+        return out
+
+    return missing(config, spec)
+
+
 def test_round_trip_covers_every_field():
     """to_spec is total: every dataclass field appears, recursively."""
-    config = EngineConfig(target_cache=TargetCacheConfig())
-    spec = config.to_spec()
-    assert set(spec) == {
-        "btb_sets", "btb_ways", "btb_strategy", "direction", "ras_depth",
-        "target_cache", "history", "target_cache_handles_returns",
-    }
-    assert set(spec["target_cache"]) == {
-        "kind", "scheme", "history_bits", "address_bits", "entries",
-        "assoc", "indexing", "tag_bits", "replacement",
-        "l2_entries", "l2_assoc",
-    }
-    assert set(spec["history"]) == {
-        "source", "bits", "bits_per_target", "address_bit", "path_filter",
-    }
+    assert spec_drift(EngineConfig(target_cache=TargetCacheConfig())) == []
+
+
+def test_shipped_configs_render_completely():
+    """Every preset renders every field, whatever values it holds."""
+    for name in preset_configs.preset_names():
+        assert spec_drift(preset_configs.preset(name)) == [], name
+
+
+def test_spec_drift_names_an_unrenderable_field():
+    bad = dataclasses.make_dataclass("BadSpecConfig", [("excluded", set)])
+    [problem] = spec_drift(bad(excluded={1}))
+    assert "to_spec failed" in problem
+
+
+@pytest.mark.parametrize("config_cls,dropped", [
+    (EngineConfig, "btb_sets"),
+    (TargetCacheConfig, "tag_bits"),
+], ids=["top-level", "nested"])
+def test_spec_drift_names_a_dropped_field(monkeypatch, config_cls, dropped):
+    # A codec that silently drops one field, at the top level or nested:
+    # the cache key built from its output would ignore edits to it.
+    real = spec_codec.to_spec
+
+    def lossy(value):
+        rendered = real(value)
+        if isinstance(value, config_cls):
+            rendered.pop(dropped)
+        return rendered
+
+    monkeypatch.setattr(spec_codec, "to_spec", lossy)
+    assert spec_drift(EngineConfig(target_cache=TargetCacheConfig())) == [
+        f"{config_cls.__name__}.{dropped}"
+    ]
 
 
 def test_enums_encode_as_values():
