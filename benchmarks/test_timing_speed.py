@@ -11,7 +11,8 @@ where the masks of one family diverge more).
 
 The length is fixed at 20k, the length the repository benchmark's paper
 run times, rather than read from ``REPRO_BENCH_TRACE_LENGTH``.  Timing is
-min-of-rounds so scheduler noise cannot mask a regression.  Runs with
+min-of-rounds, with the two blocks run in turn round by round, so a burst
+of scheduler noise lands on both rather than on one.  Runs with
 plain pytest from the repository root:
 ``PYTHONPATH=src python -m pytest -q benchmarks/test_timing_speed.py``.
 """
@@ -32,7 +33,7 @@ from repro.predictors import EngineConfig
 from tests.timing_reference import reference_timing
 
 TRACE_LENGTH = 20_000
-ROUNDS = 3
+ROUNDS = 5
 MIN_SPEEDUP = 3.0
 
 
@@ -52,12 +53,14 @@ def family():
     return ctx.trace("perl"), ctx.machine, ctx.penalty("perl"), masks
 
 
-def _min_time(func, rounds=ROUNDS):
-    best = float("inf")
+def _alternating_min(first, second, rounds=ROUNDS):
+    """Each block's best time over ``rounds`` rounds of first-then-second."""
+    best = [float("inf"), float("inf")]
     for _ in range(rounds):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
+        for block, func in enumerate((first, second)):
+            start = time.perf_counter()
+            func()
+            best[block] = min(best[block], time.perf_counter() - start)
     return best
 
 
@@ -70,10 +73,10 @@ def test_memo_times_a_mask_family_3x_faster(family):
         return [run_timing(trace, machine, mask, penalty, memo=memo)
                 for mask in masks]
 
-    reference = _min_time(
+    reference, fast = _alternating_min(
         lambda: [reference_timing(trace, machine, mask, penalty)
-                 for mask in masks])
-    fast = _min_time(memoised)
+                 for mask in masks],
+        memoised)
     speedup = reference / fast
     assert speedup >= MIN_SPEEDUP, (
         f"timing {len(masks)} masks through a fresh memo took {fast:.3f}s vs "

@@ -19,9 +19,11 @@ wherever the functions live.
     A ``global`` declaration, or a mutation (subscript/attribute store,
     ``.append``/``.update``-style call) whose target resolves to a
     module-level name — including through one local alias hop
-    (``state = _STATE``).  Module state written by worker code is
-    per-process and invisible to the parent; deliberate per-worker memos
-    carry suppressions explaining why they cannot leak into results.
+    (``state = _STATE``, ``state = _WORKER.state`` or
+    ``state = getattr(_WORKER, "state", None)``).  Module state written by
+    worker code is per-process and invisible to the parent; deliberate
+    per-worker memos carry suppressions explaining why they cannot leak
+    into results.
 ``worker-env-mutate``
     Assigning/deleting ``os.environ[...]``, calling a mutating method on
     ``os.environ``, or ``os.putenv``/``os.unsetenv``.  Mutating the
@@ -84,6 +86,16 @@ def _root_name(node: ast.AST) -> "str | None":
     return None
 
 
+def _aliased_name(value: ast.AST) -> "str | None":
+    """``NAME`` for a ``NAME``, ``NAME.attr`` or ``getattr(NAME, ...)`` read."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "getattr" and value.args):
+        value = value.args[0]
+    elif isinstance(value, ast.Attribute):
+        value = value.value
+    return value.id if isinstance(value, ast.Name) else None
+
+
 def _is_environ(node: ast.AST, aliases: Dict[str, str]) -> bool:
     """Whether ``node`` denotes ``os.environ`` (through import aliases)."""
     from repro.analysis.astutil import resolve_dotted
@@ -144,8 +156,9 @@ class WorkerSafetyChecker:
     ) -> List[Finding]:
         findings: List[Finding] = []
         aliases = module.aliases
-        # One alias hop: ``state = _STATE`` makes writes through
-        # ``state`` writes to module state.
+        # One alias hop: ``state = _STATE``, ``state = _STATE.attr`` or
+        # ``state = getattr(_STATE, ...)`` makes writes through ``state``
+        # writes to module state.
         shared_names: Dict[str, str] = {
             name: f"module-level name '{name}'"
             for name in module.module_level_names
@@ -153,15 +166,14 @@ class WorkerSafetyChecker:
         for node in _own_statements(func.node):
             if (
                 isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in shared_names
+                and (source := _aliased_name(node.value)) in shared_names
             ):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         shared_names.setdefault(
                             target.id,
                             f"'{target.id}' (alias of module-level "
-                            f"'{node.value.id}')",
+                            f"'{source}')",
                         )
 
         def entry_note() -> str:

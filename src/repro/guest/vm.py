@@ -141,7 +141,9 @@ class VM:
         this address once it has been reached ``stop_visits`` times.  Lets
         equivalence tests compare lowerings at the same architectural point
         (e.g. "after 40 trips around the outer loop") even though their
-        dynamic instruction counts differ.
+        dynamic instruction counts differ.  Each ``run()`` counts arrivals
+        afresh, its start included, but never stops before its first
+        fetch: after a stop, the next ``run()`` runs to the next arrival.
     stop_visits:
         How many arrivals at ``stop_pc`` to run before stopping.
     """
@@ -203,7 +205,7 @@ class VM:
         for _ in range(self.max_instructions - self.retired):
             if pc == stop_pc:
                 stop_visits -= 1
-                if stop_visits <= 0:
+                if stop_visits <= 0 and pcs:  # never before the first fetch
                     break
             index = pc >> 2
             if not 0 <= index < n_code:

@@ -10,9 +10,8 @@ alongside as records of their own keyed by
 :func:`repro.runner.keys.timing_key` (cell key + machine config +
 pipeline-code hash), so a warm re-run skips ``run_timing`` too.
 
-Every entry is one record, little-endian throughout::
-
-    magic b"RPRC" | format version (uint32) | int64 fields | tail bytes | crc32 (uint32)
+Every entry is one :mod:`repro.records` record with magic ``RPRC`` and
+format version 2:
 
 * a stats entry (``<key>.stats``) holds ``instructions``,
   ``btb_lookups``, ``btb_hits``, the number of branch kinds and the mask
@@ -20,10 +19,9 @@ Every entry is one record, little-endian throughout::
   triple per kind in kind order; its tail is ``np.packbits(mask)``;
 * a cycles entry (``<key>.cycles``) holds the cycle count and no tail.
 
-The trailer is ``zlib.crc32`` of every byte before it.  A short record, a
-checksum mismatch, a wrong magic or version, or a mask byte count that
-disagrees with the mask length is a miss: the entry is unlinked and
-re-computed, never raised.
+A short record, a checksum mismatch, a wrong magic or version, or a mask
+byte count that disagrees with the mask length is a miss: the entry is
+unlinked and re-computed, never raised.
 
 Control knobs:
 
@@ -42,24 +40,19 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import time
-import zlib
 from pathlib import Path
-from typing import Callable, List, Optional, TypeVar, Union
+from typing import Callable, Optional, TypeVar, Union
 
 import numpy as np
 
+from repro import records
 from repro.guest.isa import BranchKind
 from repro.obs import get_sink
 from repro.predictors import PredictionStats
 
-_FORMAT_VERSION = 2
-
-#: Record header (magic tag, format version) and trailer (crc32).
 _MAGIC = b"RPRC"
-_HEADER = struct.Struct("<4sI")
-_TRAILER = struct.Struct("<I")
+_FORMAT_VERSION = 2
 #: A stats payload's fixed fields: instructions, btb_lookups, btb_hits,
 #: number of kinds, mask length (-1 for no mask).
 _STATS_FIELDS = struct.Struct("<5q")
@@ -92,34 +85,8 @@ def default_result_cache_dir() -> Path:
 
 
 # ----------------------------------------------------------------------
-# The record codec, shared by both entry kinds.
+# The two entry kinds' fields and tails.
 # ----------------------------------------------------------------------
-class _CorruptEntry(ValueError):
-    """The bytes on disk are not a record this version wrote."""
-
-
-def _encode(fields: List[int], tail: bytes = b"") -> bytes:
-    body = b"".join((
-        _HEADER.pack(_MAGIC, _FORMAT_VERSION),
-        struct.pack(f"<{len(fields)}q", *fields),
-        tail,
-    ))
-    return body + _TRAILER.pack(zlib.crc32(body))
-
-
-def _payload(record: bytes) -> memoryview:
-    """The bytes between header and trailer of an intact record."""
-    if len(record) < _HEADER.size + _TRAILER.size:
-        raise _CorruptEntry("short record")
-    view = memoryview(record)
-    (crc,) = _TRAILER.unpack_from(record, len(record) - _TRAILER.size)
-    if zlib.crc32(view[:-_TRAILER.size]) != crc:
-        raise _CorruptEntry("checksum mismatch")
-    if _HEADER.unpack_from(record) != (_MAGIC, _FORMAT_VERSION):
-        raise _CorruptEntry("wrong magic or format version")
-    return view[_HEADER.size:-_TRAILER.size]
-
-
 def _encode_stats(stats: PredictionStats) -> bytes:
     kinds = sorted(stats.per_kind)
     mask = stats.mispredict_mask
@@ -128,20 +95,21 @@ def _encode_stats(stats: PredictionStats) -> bytes:
     for kind in kinds:
         counter = stats.per_kind[kind]
         fields += (int(kind), counter.executed, counter.mispredicted)
-    return _encode(fields, b"" if mask is None else np.packbits(mask).tobytes())
+    return records.encode(_MAGIC, _FORMAT_VERSION, fields,
+                          b"" if mask is None else np.packbits(mask).tobytes())
 
 
 def _decode_stats(payload: memoryview, need_mask: bool) -> Optional[PredictionStats]:
     """The stats in ``payload``; ``None`` for a maskless one under ``need_mask``."""
     if len(payload) < _STATS_FIELDS.size:
-        raise _CorruptEntry("short stats payload")
+        raise records.CorruptRecord("short stats payload")
     instructions, lookups, hits, kinds, mask_length = (
         _STATS_FIELDS.unpack_from(payload)
     )
     mask_offset = _STATS_FIELDS.size + 3 * 8 * kinds
     mask_bytes = (mask_length + 7) // 8 if mask_length >= 0 else 0
     if kinds < 0 or mask_length < -1 or len(payload) != mask_offset + mask_bytes:
-        raise _CorruptEntry("mask bytes disagree with the mask length")
+        raise records.CorruptRecord("mask bytes disagree with the mask length")
     if need_mask and mask_length < 0:
         return None
     stats = PredictionStats(instructions=instructions, btb_lookups=lookups,
@@ -158,34 +126,8 @@ def _decode_stats(payload: memoryview, need_mask: bool) -> Optional[PredictionSt
 
 def _decode_cycles(payload: memoryview) -> int:
     if len(payload) != _CYCLES_FIELDS.size:
-        raise _CorruptEntry("cycles payload of the wrong size")
+        raise records.CorruptRecord("cycles payload of the wrong size")
     return int(_CYCLES_FIELDS.unpack_from(payload)[0])
-
-
-def _publish(path: Path, record: bytes) -> None:
-    """Write ``record`` to ``path`` with atomic visibility.
-
-    Write-path audit (deliberately ``fsync``-free): the record is written
-    to a ``mkstemp`` temporary *in the destination directory* (same
-    filesystem, so the rename cannot degrade to copy+delete), then
-    published with ``os.replace`` — readers see the old entry or the
-    whole new one, never a partial write, and concurrent writers of the
-    same key last-write-win with identical bytes (the key covers every
-    input).  Skipping ``fsync`` trades durability for speed: an OS/power
-    crash may leave the renamed file torn on disk, which the record's
-    length and checksum turn into an evictable miss, so the worst case is
-    one lost cache entry, never a wrong result.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(record)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 class ResultCache:
@@ -214,16 +156,14 @@ class ResultCache:
         """Decode the record at ``path`` and bump ``<counter>.hit``/``.miss``.
 
         A missing file, or an entry ``decode`` turns down with ``None``,
-        is a miss.  Crash-consistency contract (the flip side of
-        :func:`_publish`): a reader can observe either no file or a
-        complete one under normal operation, but a machine crash between
-        the rename and the data reaching disk can leave a *torn*
-        (truncated or zero-byte) entry.  Any such entry — along with any
-        other undecodable bytes, or an ``OSError`` while reading it — is
-        evicted and counted as ``result_cache.evict``, never raised.
+        is a miss.  A torn entry (which :func:`repro.records.publish`
+        leaves only after a machine crash), any other undecodable bytes,
+        or an ``OSError`` while reading is evicted and counted as
+        ``result_cache.evict``, never raised.
         """
         try:
-            value = decode(_payload(path.read_bytes()))
+            value = decode(records.payload(_MAGIC, _FORMAT_VERSION,
+                                           path.read_bytes()))
         except FileNotFoundError:
             value = None
         except (OSError, ValueError):
@@ -247,7 +187,7 @@ class ResultCache:
     def store(self, key: str, stats: PredictionStats) -> None:
         """Persist ``stats`` under ``key`` with atomic visibility."""
         get_sink().incr("result_cache.store")
-        _publish(self._path(key), _encode_stats(stats))
+        records.publish(self._path(key), _encode_stats(stats))
 
     # ------------------------------------------------------------------
     def load_cycles(self, key: str) -> Optional[int]:
@@ -257,7 +197,8 @@ class ResultCache:
 
     def store_cycles(self, key: str, cycles: int) -> None:
         get_sink().incr("result_cache.cycles.store")
-        _publish(self._cycles_path(key), _encode([int(cycles)]))
+        records.publish(self._cycles_path(key),
+                        records.encode(_MAGIC, _FORMAT_VERSION, [int(cycles)]))
 
     # ------------------------------------------------------------------
     # Cell claims: cross-process work coordination for the sweep service.

@@ -210,7 +210,7 @@ def _run_chunk(benchmark: str,
         ))
         # Per-worker memo: keyed by benchmark, value deterministic given
         # the spec, so replication across workers cannot diverge.
-        state["memos"][benchmark] = memo
+        state["memos"][benchmark] = memo  # repro-lint: ignore[worker-global-write]
     out = [(index, _simulate_cell(memo, config, collect_mask))
            for index, config, collect_mask in items]
     # Chunk boundary: persist this worker's shard so nothing is lost if

@@ -3,8 +3,9 @@
 The paper's experiments are trace-driven ("measured by trace-driven
 simulations using an instruction level simulator", §4.1).  This package is
 the trace substrate: a columnar, numpy-backed container produced by the guest
-VM, summary statistics matching the paper's Table 1 and Figures 1-8, and npz
-round-tripping so traces can be cached between runs.
+VM, summary statistics matching the paper's Table 1 and Figures 1-8, and a
+checksummed on-disk record (:mod:`repro.trace.io`) so traces can be cached
+between runs.
 """
 
 from repro.trace.io import load_trace, save_trace

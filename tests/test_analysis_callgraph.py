@@ -168,19 +168,27 @@ class TestWorkerSafety:
         return WorkerSafetyChecker().run(project)
 
     def test_clean_worker_has_no_findings(self):
-        assert self._run(_worker_project()) == []
+        # Reads of a local, unlike those of module state, make no alias.
+        for body in ("pass", "local = {}; state = local.state; state['k'] = 1",
+                     "local = {}; state = getattr(local, 'state', None); "
+                     "state['k'] = 1"):
+            assert self._run(_worker_project(chunk_body=body)) == [], body
 
     def test_global_statement_flagged(self):
         findings = self._run(_worker_project(init_body="global _STATE"))
         assert [f.rule for f in findings] == ["worker-global-write"]
 
     def test_module_state_mutation_through_alias_flagged(self):
-        findings = self._run(
-            _worker_project(
-                chunk_body="state = _STATE; state['k'] = 1",
+        # A plain alias, an attribute read and a ``getattr`` read (the
+        # ``threading.local`` worker state of ``runner/pool.py``).
+        for alias in ("_STATE", "_STATE.state",
+                      "getattr(_STATE, 'state', None)"):
+            findings = self._run(
+                _worker_project(
+                    chunk_body=f"state = {alias}; state['k'] = 1",
+                )
             )
-        )
-        assert [f.rule for f in findings] == ["worker-global-write"]
+            assert [f.rule for f in findings] == ["worker-global-write"], alias
 
     def test_environ_write_flagged(self):
         findings = self._run(

@@ -7,8 +7,6 @@ changes the key — and nothing else does.  These tests pin both directions.
 import collections
 import dataclasses
 import json
-import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -35,6 +33,7 @@ from repro.runner import (
     run_cells,
     timing_key,
 )
+from tests.record_damage import COMMON_DAMAGE, bit_flips, flip, put_field
 
 LENGTH = 20_000
 SEED = 1997
@@ -287,42 +286,10 @@ def assert_same_stats(loaded, stats):
         assert np.array_equal(loaded.mispredict_mask, stats.mispredict_mask)
 
 
-def reseal(record):
-    """Recompute the crc32 trailer, so only the field under test is wrong."""
-    body = record[:-4]
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def flip(offset):
-    def damage(record):
-        record = bytearray(record)
-        record[offset] ^= 0xFF
-        return bytes(record)
-    return damage
-
-
-def put_field(offset, value):
-    """Overwrite one int64 field and reseal: a well-formed lie."""
-    def damage(record):
-        record = bytearray(record)
-        record[offset:offset + 8] = struct.pack("<q", value)
-        return reseal(bytes(record))
-    return damage
-
-
-#: Record offsets: magic at 0, version at 4, int64 fields from 8 (stats:
-#: instructions, btb_lookups, btb_hits, kinds, mask length, then one
-#: (kind, executed, mispredicted) triple per kind from 48; cycles: the
-#: count at 8), then the packed mask, then the 4-byte crc32 trailer.
-#: Truncations are in ``TestTornEntries``.
-COMMON_DAMAGE = {
-    "flip-header": flip(5),
-    "flip-counter": flip(9),
-    "flip-trailer": flip(-1),
-    "wrong-magic": lambda record: reseal(b"NPZ!" + record[4:]),
-    "wrong-version": lambda record: reseal(
-        record[:4] + struct.pack("<I", 1) + record[8:]),
-}
+#: Stats offsets: the int64 fields instructions, btb_lookups, btb_hits,
+#: kinds and mask length from 8, then one (kind, executed, mispredicted)
+#: triple per kind from 48, then the packed mask before the crc32 trailer.
+#: A cycles record has one field, the count at 8.
 STATS_DAMAGE = {
     **COMMON_DAMAGE,
     "flip-kind-counter": flip(48 + 8),
@@ -332,6 +299,28 @@ STATS_DAMAGE = {
     "mask-dropped": put_field(40, -1),
     "unknown-kind": put_field(48, 99),
 }
+
+
+def small_stats():
+    """Two kinds, one of them all zero, and a 13-row mask."""
+    stats = PredictionStats(instructions=20_001, btb_lookups=3, btb_hits=2)
+    stats.counters(BranchKind.IND_JUMP).executed = 11
+    stats.counters(BranchKind.IND_JUMP).mispredicted = 4
+    stats.counters(BranchKind.COND_DIRECT)
+    stats.mispredict_mask = np.array([1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1],
+                                     dtype=bool)
+    return stats
+
+
+#: ``small_stats()`` and a cycle count of 2,273,710, as the result cache
+#: wrote them before its codec moved into ``repro.records``.
+PINNED_STATS = bytes.fromhex(
+    "5250524302000000214e000000000000030000000000000002000000000000000200"
+    "0000000000000d000000000000000100000000000000000000000000000000000000"
+    "0000000006000000000000000b0000000000000004000000000000009a3851b3f280"
+)
+PINNED_CYCLES = bytes.fromhex("5250524302000000aeb12200000000003d3b6374")
+PINNED_CYCLE_COUNT = 2_273_710
 
 
 class TestTornEntries:
@@ -421,6 +410,24 @@ class TestRecordFaults:
         cache.store_cycles(self.KEY, self.CYCLES)
         assert cache.load_cycles(self.KEY) == self.CYCLES
 
+    @pytest.mark.parametrize("record,path_of,load", [
+        (PINNED_STATS, "_path", "load"),
+        (PINNED_CYCLES, "_cycles_path", "load_cycles"),
+    ], ids=["stats", "cycles"])
+    def test_every_bit_flip_is_an_evicting_miss(self, tmp_path, counts,
+                                                record, path_of, load):
+        """The crc32 trailer catches every one-bit error, so no flip of a
+        small record loads: not in the header, a field, the mask or the
+        trailer itself."""
+        cache = ResultCache(tmp_path)
+        path = getattr(cache, path_of)(self.KEY)
+        path.parent.mkdir(parents=True)
+        for damaged in bit_flips(record):
+            path.write_bytes(damaged)
+            assert getattr(cache, load)(self.KEY) is None
+            assert not path.exists(), "damaged entry must be evicted"
+        assert counts == {"result_cache.evict": 8 * len(record)}
+
     def test_maskless_entry_under_need_mask_is_a_plain_miss(
             self, tmp_path, perl_stats, counts):
         cache = ResultCache(tmp_path)
@@ -481,6 +488,33 @@ class TestRecordRoundTrips:
         assert cache.load_cycles(self.KEY) == 7
         assert counts == {"result_cache.store": 1, "result_cache.cycles.store": 1,
                           "result_cache.load.hit": 1, "result_cache.cycles.hit": 1}
+
+
+class TestPinnedRecords:
+    """Records written before the codec moved into ``repro.records`` load
+    as hits, and the same values still encode to the same bytes."""
+
+    KEY = "a" * 64
+
+    def test_pinned_stats_record_is_a_hit(self, tmp_path, counts):
+        cache = ResultCache(tmp_path)
+        path = cache._path(self.KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(PINNED_STATS)
+        assert_same_stats(cache.load(self.KEY, need_mask=True), small_stats())
+        assert counts == {"result_cache.load.hit": 1}
+        cache.store(self.KEY, small_stats())
+        assert path.read_bytes() == PINNED_STATS
+
+    def test_pinned_cycles_record_is_a_hit(self, tmp_path, counts):
+        cache = ResultCache(tmp_path)
+        path = cache._cycles_path(self.KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(PINNED_CYCLES)
+        assert cache.load_cycles(self.KEY) == PINNED_CYCLE_COUNT
+        assert counts == {"result_cache.cycles.hit": 1}
+        cache.store_cycles(self.KEY, PINNED_CYCLE_COUNT)
+        assert path.read_bytes() == PINNED_CYCLES
 
 
 class TestClaims:

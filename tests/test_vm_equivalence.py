@@ -14,6 +14,8 @@ loop it replaced, which lives on as ``tests/vm_reference.py``:
   ``retired``.  They cover every workload x lowering at 5k instructions
   and seeds 1997 and 2027, a ``stop_pc`` stop with resumed ``run()``
   calls, a halting program that executes every opcode, and each fault.
+  One test checks the VM alone: runs resumed after a ``stop_visits=1``
+  stop, where the VM no longer follows the frozen loop.
 """
 
 import hashlib
@@ -162,6 +164,27 @@ def test_stop_pc_and_resumed_runs_match_reference() -> None:
         machine.stop_pc = None
     _run_both(reference, vm)
     assert vm.retired == 8_000
+
+
+def test_runs_resume_past_a_single_visit_stop() -> None:
+    """With ``stop_visits=1`` a resumed ``run()`` starts at ``loop`` and
+    goes on to the next arrival instead of stopping before its first
+    fetch.  The runs' columns, concatenated, equal one uninterrupted run
+    of the same length.  The frozen reference loop stops every resumed
+    run at once, so this checks the VM alone."""
+    program = build_program("perl")
+    loop = program.address_of("loop")
+    vm = VM(program, max_instructions=5_000, stop_pc=loop, stop_visits=1)
+    runs = []
+    for _ in range(4):
+        runs.append(vm.run())
+        assert vm.pc == loop
+    assert [len(run) for run in runs] == [5, 67, 53, 60]
+    whole = VM(program, max_instructions=185).run()
+    for name in COLUMNS:
+        joined = np.concatenate([getattr(run, name) for run in runs])
+        assert joined.dtype == getattr(whole, name).dtype, name
+        assert np.array_equal(joined, getattr(whole, name)), name
 
 
 def _every_opcode_program() -> GuestProgram:
