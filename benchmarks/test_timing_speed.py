@@ -12,7 +12,11 @@ where the masks of one family diverge more).
 The length is fixed at 20k, the length the repository benchmark's paper
 run times, rather than read from ``REPRO_BENCH_TRACE_LENGTH``.  Timing is
 min-of-rounds, with the two blocks run in turn round by round, so a burst
-of scheduler noise lands on both rather than on one.  Runs with
+of scheduler noise lands on both rather than on one; a failure lists
+every round's two times, so it shows whether one round or all of them
+were slow.  Over 20 runs on a shared 2-vCPU host min/min read 3.50-4.05x
+and the median of per-round ratios 3.21-4.02x: neither failed, and the
+median sat nearer the floor, so the gate stays on min/min.  Runs with
 plain pytest from the repository root:
 ``PYTHONPATH=src python -m pytest -q benchmarks/test_timing_speed.py``.
 """
@@ -53,15 +57,17 @@ def family():
     return ctx.trace("perl"), ctx.machine, ctx.penalty("perl"), masks
 
 
-def _alternating_min(first, second, rounds=ROUNDS):
-    """Each block's best time over ``rounds`` rounds of first-then-second."""
-    best = [float("inf"), float("inf")]
+def _alternating_rounds(first, second, rounds=ROUNDS):
+    """The ``(first, second)`` times of each round of first-then-second."""
+    times = []
     for _ in range(rounds):
-        for block, func in enumerate((first, second)):
+        pair = []
+        for func in (first, second):
             start = time.perf_counter()
             func()
-            best[block] = min(best[block], time.perf_counter() - start)
-    return best
+            pair.append(time.perf_counter() - start)
+        times.append(tuple(pair))
+    return times
 
 
 def test_memo_times_a_mask_family_3x_faster(family):
@@ -73,15 +79,19 @@ def test_memo_times_a_mask_family_3x_faster(family):
         return [run_timing(trace, machine, mask, penalty, memo=memo)
                 for mask in masks]
 
-    reference, fast = _alternating_min(
+    rounds = _alternating_rounds(
         lambda: [reference_timing(trace, machine, mask, penalty)
                  for mask in masks],
         memoised)
-    speedup = reference / fast
-    assert speedup >= MIN_SPEEDUP, (
-        f"timing {len(masks)} masks through a fresh memo took {fast:.3f}s vs "
-        f"{reference:.3f}s for the per-row loop ({speedup:.1f}x < "
-        f"{MIN_SPEEDUP:.0f}x) — the memo stopped reusing segments"
+    measured = (min(reference for reference, _ in rounds)
+                / min(memo for _, memo in rounds))
+    listed = ", ".join(f"({reference:.3f}, {memo:.3f})"
+                       for reference, memo in rounds)
+    assert measured >= MIN_SPEEDUP, (
+        f"timing {len(masks)} masks through a fresh memo ran {measured:.1f}x "
+        f"faster than the per-row loop (< {MIN_SPEEDUP:.0f}x) — the memo "
+        f"stopped reusing segments; (reference, memo) seconds per round: "
+        f"{listed}"
     )
 
 

@@ -439,7 +439,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.experiments.common import ExperimentTable
-    from repro.predictors import load_plugins
     from repro.sweepspec import SpecError, parse_spec_text
 
     if not args.spec:
@@ -455,7 +454,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # One line naming the offending key path; exit 2 like argparse.
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
-    load_plugins(list(plan.plugins))
 
     ctx = _context(args)
     ctx.predictions(plan.cells())

@@ -69,5 +69,15 @@ class MachineConfig:
         default_factory=lambda: dict(LATENCIES)
     )
 
+    def __hash__(self) -> int:
+        # The generated hash would fail on the ``latencies`` dict; hash it
+        # as sorted items so equal machines hash equal (the result cache's
+        # timing-key memo keys on the machine).
+        return hash((
+            self.fetch_width, self.retire_width, self.window,
+            self.frontend_depth, self.memory_latency, self.dcache,
+            tuple(sorted(self.latencies.items())),
+        ))
+
     def latency_of(self, instr_class: int) -> int:
         return self.latencies[InstrClass(instr_class)]

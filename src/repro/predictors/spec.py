@@ -26,9 +26,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 from enum import Enum
-from typing import Any, Dict, Mapping, Type, TypeVar
+from functools import lru_cache
+from typing import Any, Dict, Mapping, Tuple, Type, TypeVar
 
 _T = TypeVar("_T")
+
+#: Dataclasses whose resolved field annotations :func:`from_spec` keeps;
+#: the configs a spec can name are about a dozen.
+_HINTS_MEMO_SIZE = 64
 
 #: The JSON-ready rendering of one config dataclass.
 Spec = Dict[str, Any]
@@ -82,8 +87,8 @@ def from_spec(cls: Type[_T], spec: Mapping[str, Any]) -> _T:
         raise ValueError(
             f"{cls.__name__} spec must be a mapping, got {type(spec).__name__}"
         )
-    hints = typing.get_type_hints(cls)
-    field_names = [f.name for f in dataclasses.fields(cls)]
+    fields = _field_hints(cls)
+    field_names = [name for name, _ in fields]
     unknown = sorted(set(spec) - set(field_names))
     if unknown:
         raise ValueError(
@@ -91,11 +96,22 @@ def from_spec(cls: Type[_T], spec: Mapping[str, Any]) -> _T:
             f"valid fields: {', '.join(field_names)}"
         )
     kwargs = {
-        name: _decode(hints[name], spec[name], f"{cls.__name__}.{name}")
-        for name in field_names
+        name: _decode(hint, spec[name], f"{cls.__name__}.{name}")
+        for name, hint in fields
         if name in spec
     }
     return cls(**kwargs)
+
+
+@lru_cache(maxsize=_HINTS_MEMO_SIZE)
+def _field_hints(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``cls``'s fields with their resolved annotations, in field order.
+
+    Resolving string annotations (``typing.get_type_hints``) costs several
+    times the rest of a decode, so it runs once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:

@@ -28,6 +28,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Tuple
 
+from repro.pipeline import MachineConfig
 from repro.predictors import EngineConfig, traits_for
 from repro.workloads import trace_fingerprint
 
@@ -141,24 +142,43 @@ def timing_code_fingerprint() -> str:
 CELL_KEY_VERSION = 2
 
 
+#: Entries each key memo holds: many times the 202 distinct cells and 182
+#: cycle counts one paper pass at one trace length and seed asks for.
+KEY_MEMO_SIZE = 4096
+
+
 def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
              seed: int) -> str:
     """Result-cache key for one ``(benchmark, config)`` sweep cell.
 
-    The config enters as its spec (:meth:`EngineConfig.to_spec`): two
-    configs collide exactly when their specs are equal, which is also the
-    condition under which the registry builds identical predictors.
+    The config enters as its spec (:meth:`EngineConfig.to_spec`): configs
+    with equal specs collide, and the registry builds identical predictors
+    for them.
 
     Deliberately independent of ``collect_mask``: a cached result that
     carries the mispredict mask satisfies both mask and no-mask requests,
     so the cache stores at most one entry per cell (see
     :meth:`repro.runner.cache.ResultCache.load`).
+
+    Memoised on ``(trace fingerprint, engine code fingerprint, config)``.
+    Both fingerprints are read on every call, so a source edit (or a
+    fingerprint's ``cache_clear()``) still changes the key.  Equal configs
+    share one entry, which is sound because equal configs build identical
+    predictors; the only equal configs whose specs differ spell one value
+    two ways (``True`` and ``1``), and they get whichever key was built
+    first.
     """
+    return _cell_key(trace_fingerprint(benchmark, trace_length, seed),
+                     engine_code_fingerprint(), config)
+
+
+@lru_cache(maxsize=KEY_MEMO_SIZE)
+def _cell_key(trace: str, engine_code: str, config: EngineConfig) -> str:
     payload = json.dumps(
         {
             "version": CELL_KEY_VERSION,
-            "trace": trace_fingerprint(benchmark, trace_length, seed),
-            "engine_code": engine_code_fingerprint(),
+            "trace": trace,
+            "engine_code": engine_code,
             "spec": config.to_spec(),
         },
         sort_keys=True, separators=(",", ":"),
@@ -167,7 +187,7 @@ def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
 
 
 def timing_key(benchmark: str, config: EngineConfig, trace_length: int,
-               seed: int, machine: Any) -> str:
+               seed: int, machine: MachineConfig) -> str:
     """Result-cache key for one cell's *cycle count* on a machine.
 
     Builds on :func:`cell_key` (which already covers the trace and the
@@ -175,11 +195,22 @@ def timing_key(benchmark: str, config: EngineConfig, trace_length: int,
     plus a hash of the pipeline-model sources, so editing the timing model
     or changing any machine parameter invalidates cached cycle counts
     without touching the prediction entries.
+
+    Memoised like :func:`cell_key`, on ``(cell key, timing code
+    fingerprint, machine)``; equal machines share an entry, including
+    ``latencies`` keyed by an :class:`~repro.guest.isa.InstrClass` and by
+    its int.
     """
+    return _timing_key(cell_key(benchmark, config, trace_length, seed),
+                       timing_code_fingerprint(), machine)
+
+
+@lru_cache(maxsize=KEY_MEMO_SIZE)
+def _timing_key(cell: str, timing_code: str, machine: MachineConfig) -> str:
     payload = json.dumps(
         {
-            "cell": cell_key(benchmark, config, trace_length, seed),
-            "timing_code": timing_code_fingerprint(),
+            "cell": cell,
+            "timing_code": timing_code,
             "machine": config_token(machine),
         },
         sort_keys=True, separators=(",", ":"),

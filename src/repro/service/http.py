@@ -126,36 +126,21 @@ def json_response(writer: asyncio.StreamWriter, status: int, payload: Any,
     write_response(writer, status, body, keep_alive=keep_alive)
 
 
-class ChunkedWriter:
-    """Chunked transfer encoding for streamed JSONL responses.
+#: Status line and headers of a chunked JSONL response (the events stream).
+CHUNKED_JSONL_HEAD = (
+    "HTTP/1.1 200 OK\r\n"
+    "Content-Type: application/x-ndjson\r\n"
+    "Transfer-Encoding: chunked\r\n"
+    "Connection: keep-alive\r\n"
+    "\r\n"
+).encode("latin-1")
 
-    Usage: ``begin()`` once, ``send_json(obj)`` per event (one JSON object
-    per line, flushed immediately so clients see progress live), then
-    ``finish()`` — after which the connection can keep serving requests.
-    """
+#: The zero-length chunk that ends a chunked body; the connection can then
+#: serve further requests.
+LAST_CHUNK = b"0\r\n\r\n"
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
 
-    async def begin(self, status: int = 200,
-                    content_type: str = "application/x-ndjson") -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: keep-alive\r\n"
-            "\r\n"
-        )
-        self._writer.write(head.encode("latin-1"))
-        await self._writer.drain()
-
-    async def send_json(self, payload: Any) -> None:
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._writer.write(f"{len(data):x}\r\n".encode("latin-1"))
-        self._writer.write(data + b"\r\n")
-        await self._writer.drain()
-
-    async def finish(self) -> None:
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()
+def json_chunk(payload: Any) -> bytes:
+    """``payload`` as one JSON line framed as one chunk of a chunked body."""
+    data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"

@@ -34,12 +34,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import get_sink
-from repro.predictors import PredictionStats, load_plugins
+from repro.predictors import PredictionStats
 from repro.runner import ResultCache, SweepPool
 from repro.service.http import (
-    ChunkedWriter,
+    CHUNKED_JSONL_HEAD,
+    LAST_CHUNK,
     ProtocolError,
     Request,
+    json_chunk,
     json_response,
     read_request,
 )
@@ -279,7 +281,6 @@ class SweepService:
             json_response(writer, 400, {"error": str(exc)},
                           keep_alive=request.keep_alive)
             return 400
-        load_plugins(list(plan.plugins))
         job = SweepJob(id=f"s{self._next_job:06d}", plan=plan)
         self._next_job += 1
         self._jobs[job.id] = job
@@ -347,21 +348,24 @@ class SweepService:
                           {"error": f"unknown sweep {job_id!r}"},
                           keep_alive=request.keep_alive)
             return 404
-        stream = ChunkedWriter(writer)
-        await stream.begin()
+        # Each wake-up sends everything pending as one write, so a job that
+        # finished before this request costs one write and the caller's one
+        # drain, while a running job still streams each batch as it lands.
+        pending = [CHUNKED_JSONL_HEAD]
         sent = 0
         while True:
-            while sent < len(job.events):
-                await stream.send_json(job.events[sent])
-                sent += 1
+            pending.extend(json_chunk(event) for event in job.events[sent:])
+            sent = len(job.events)
             if job.status != "running":
-                break
+                pending.append(LAST_CHUNK)
+                writer.write(b"".join(pending))
+                return 200
+            writer.write(b"".join(pending))
+            pending = []
+            await writer.drain()
             job.changed.clear()
-            if sent < len(job.events):
-                continue
-            await job.changed.wait()
-        await stream.finish()
-        return 200
+            if sent == len(job.events):
+                await job.changed.wait()
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

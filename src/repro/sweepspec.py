@@ -17,7 +17,9 @@ Parsing is strict and total: every structural mistake raises
 (``cells[3].engine: TargetCacheConfig.kind: expected a string, got 5``),
 never a traceback.  The CLI turns a :exc:`SpecError` into exit code 2;
 the service turns it into a 400 response.  Both front ends share this
-module, so the file format and the wire format cannot drift.
+module, so the file format and the wire format cannot drift.  Parsing
+imports the ``plugins`` modules before it checks any cell, so a cell may
+name a predictor kind that one of them registers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
-from repro.predictors import EngineConfig
+from repro.predictors import EngineConfig, load_plugins
 
 
 class SpecError(ValueError):
@@ -150,10 +152,12 @@ def _cell_config(cell: Any, where: str) -> Tuple[str, EngineConfig]:
 def parse_spec_document(document: Any) -> SweepPlan:
     """Validate a decoded spec document into a :class:`SweepPlan`.
 
-    Raises :exc:`SpecError` (never any other exception) on any structural
-    problem, with a message naming the offending key path.  Plugin modules
-    are *not* imported here — callers decide when (and whether) to run
-    ``load_plugins(plan.plugins)``.
+    Raises :exc:`SpecError` on any structural problem, with a message
+    naming the offending key path.  The ``plugins`` modules are imported
+    (:func:`~repro.predictors.load_plugins`) as soon as that list
+    validates, before any cell is checked, so a cell may name a predictor
+    kind that one of them registers; an exception other than
+    ``ImportError`` raised while one is imported propagates unchanged.
     """
     if not isinstance(document, dict):
         raise SpecError(
@@ -167,6 +171,7 @@ def parse_spec_document(document: Any) -> SweepPlan:
             "(valid: plugins, benchmarks, cells)"
         )
     plugins = _require_string_list(document.get("plugins", []), "plugins")
+    load_plugins(plugins)
     known = _known_benchmarks()
     default_benchmarks = document.get("benchmarks")
     if default_benchmarks is None:

@@ -1,7 +1,11 @@
-"""Shared fixtures: small session-scoped traces and a hermetic trace cache."""
+"""Shared fixtures: small session-scoped traces, a hermetic trace cache,
+and a temporary predictor plugin module."""
+
+import sys
 
 import pytest
 
+from repro.predictors import registry
 from repro.workloads import get_trace
 
 
@@ -46,3 +50,50 @@ def all_small_traces():
         name: get_trace(name, n_instructions=25_000, use_cache=False)
         for name in workload_names()
     }
+
+
+_SPEC_PLUGIN_SOURCE = """
+from repro.predictors import PredictorTraits, register
+from repro.predictors.target_cache import TargetCacheConfig, TargetPredictor
+
+
+class LastTargetPerPc(TargetPredictor):
+    def __init__(self):
+        self._table = {}
+
+    def predict(self, pc, history):
+        return self._table.get(pc)
+
+    def update(self, pc, history, target):
+        self._table[pc] = target
+
+    def reset(self):
+        self._table.clear()
+
+
+register(
+    "spec_plugin_probe",
+    factory=lambda config: LastTargetPerPc(),
+    traits=PredictorTraits(description="test-only spec plugin"),
+    provides=(LastTargetPerPc,),
+    spec_examples=(TargetCacheConfig(kind="spec_plugin_probe"),),
+)
+"""
+
+
+@pytest.fixture
+def spec_plugin(tmp_path, monkeypatch):
+    """A predictor plugin module on ``sys.path`` that nothing has imported
+    yet; importing it registers its kind.  Yields ``(module, kind)``, and
+    unregisters the kind and forgets the module afterwards."""
+    module = kind = "spec_plugin_probe"
+    plugin_dir = tmp_path / "plugins"
+    plugin_dir.mkdir()
+    (plugin_dir / f"{module}.py").write_text(_SPEC_PLUGIN_SOURCE)
+    monkeypatch.syspath_prepend(str(plugin_dir))
+    assert module not in sys.modules
+    assert kind not in registry.registered_kinds()
+    yield module, kind
+    if kind in registry.registered_kinds():
+        registry.unregister(kind)
+    sys.modules.pop(module, None)

@@ -208,6 +208,20 @@ def test_sweep_rejects_non_list_plugins(capsys, tmp_path):
     assert "'plugins' must be a list of strings" in capsys.readouterr().err
 
 
+def test_sweep_imports_plugins_before_checking_cells(capsys, tmp_path,
+                                                    spec_plugin):
+    """A cell may name a kind that the spec's own plugin module registers."""
+    module, kind = spec_plugin
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "plugins": [module], "benchmarks": ["perl"],
+        "cells": [{"engine": {"target_cache": {"kind": kind}}}],
+    }))
+    assert main(["sweep", "--spec", str(spec),
+                 "--trace-length", "5000"]) == 0
+    assert f"perl {kind}()" in capsys.readouterr().out
+
+
 def test_loadgen_unreachable_server_exits_2(capsys, monkeypatch):
     import repro.service.loadgen as loadgen_mod
 

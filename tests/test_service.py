@@ -24,6 +24,7 @@ import pytest
 from repro.predictors import EngineConfig, TargetCacheConfig
 from repro.runner import ResultCache, SweepCell, SweepPool, run_cells
 from repro.service import SweepService
+from repro.service.server import SweepJob
 from repro.service.http import ProtocolError
 from repro.service.loadgen import (
     ServiceClient,
@@ -351,6 +352,28 @@ class TestServerEndToEnd:
 
         assert self.run_server(scenario, tmp_path)
 
+    def test_spec_plugins_load_before_cells_are_checked(self, tmp_path,
+                                                        spec_plugin):
+        """A cell may name a kind that the spec's own plugin registers."""
+        module, kind = spec_plugin
+        spec = {"plugins": [module], "benchmarks": ["perl"],
+                "cells": [{"engine": {"target_cache": {"kind": kind}}}]}
+
+        async def scenario(service, client):
+            status, submitted = await client.request("POST", "/sweeps", spec)
+            assert status == 202, submitted
+            _, events = await client.request(
+                "GET", submitted["links"]["events"]
+            )
+            assert events[-1] == {"event": "done", "status": "done"}
+            _, job = await client.request(
+                "GET", submitted["links"]["result"]
+            )
+            return job
+
+        job = self.run_server(scenario, tmp_path)
+        assert [row["label"] for row in job["rows"]] == [f"{kind}()"]
+
     def test_two_servers_share_one_cache_directory(self, tmp_path):
         """The acceptance scenario: two instances, one cache dir, one
         sweep mirrored to both — merged rows bit-identical to batch."""
@@ -409,6 +432,121 @@ class TestServerEndToEnd:
         for row, cell_stats in zip(jobs[0]["rows"], direct):
             assert row["indirect"] == cell_stats.indirect_mispred_rate
             assert row["overall"] == cell_stats.overall_mispred_rate
+
+
+class _RecordingWriter:
+    """A stream writer that records each ``write`` and counts drains."""
+
+    def __init__(self):
+        self.writes = []
+        self.drains = 0
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        self.drains += 1
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+class TestEventStream:
+    """``GET /sweeps/{id}/events`` sends what is pending as one write."""
+
+    #: The head every events response opens with, and the last chunk.
+    HEAD = (b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            b"Connection: keep-alive\r\n\r\n")
+    LAST = b"0\r\n\r\n"
+
+    @staticmethod
+    def chunks(events):
+        """One ``<hex len>\\r\\n<json line>\\r\\n`` chunk per event."""
+        data = b""
+        for event in events:
+            line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+            data += f"{len(line):x}\r\n".encode() + line + b"\r\n"
+        return data
+
+    @staticmethod
+    def serve_events(service, job_id, writer):
+        """One connection that asks for a job's events, then closes."""
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"GET /sweeps/{job_id}/events HTTP/1.1\r\n"
+                         "Host: test\r\n\r\n".encode("latin-1"))
+        reader.feed_eof()
+        return asyncio.ensure_future(
+            service._handle_connection(reader, writer))
+
+    def test_a_finished_job_is_one_write_of_the_same_bytes(self, tmp_path):
+        spec = {"benchmarks": ["perl", "gcc"],
+                "cells": [{"preset": "btb-only"},
+                          {"preset": "tagless-gshare9"}]}
+
+        async def main():
+            service = SweepService(
+                host="127.0.0.1", port=0, jobs=0,
+                trace_length=TRACE_LENGTH,
+                result_cache=ResultCache(tmp_path / "svc"),
+            )
+            await service.start()
+            client = ServiceClient("127.0.0.1", service.port)
+            await client.connect()
+            try:
+                _, submitted = await client.request("POST", "/sweeps", spec)
+                _, events = await client.request(
+                    "GET", submitted["links"]["events"])
+                writer = _RecordingWriter()
+                await self.serve_events(service, submitted["id"], writer)
+                return events, writer
+            finally:
+                await client.close()
+                await service.close()
+
+        events, writer = asyncio.run(main())
+        assert [event["event"] for event in events] == ["cell"] * 4 + ["done"]
+        assert writer.writes == [self.HEAD + self.chunks(events) + self.LAST]
+        assert writer.drains == 1
+
+    def test_a_running_job_streams_each_batch_as_it_lands(self):
+        plan = parse_spec_document(
+            {"benchmarks": ["perl"], "cells": [{"preset": "btb-only"}]})
+        cell = {"event": "cell", "benchmark": "perl", "done": 1, "total": 1,
+                "indirect_mispredict_rate": 0.25}
+        done = {"event": "done", "status": "done"}
+
+        async def main():
+            service = SweepService(port=0, jobs=0, trace_length=TRACE_LENGTH,
+                                   use_result_cache=False)
+            job = SweepJob(id="s-stream", plan=plan)
+            service._jobs[job.id] = job
+            writer = _RecordingWriter()
+            stream = self.serve_events(service, job.id, writer)
+
+            async def writes(count):
+                for _ in range(100):
+                    if len(writer.writes) >= count:
+                        return
+                    await asyncio.sleep(0)
+                raise AssertionError(f"no write {count}: {writer.writes}")
+
+            await writes(1)
+            job.emit(cell)
+            await writes(2)
+            job.status = "done"
+            job.emit(done)
+            await asyncio.wait_for(stream, timeout=5)
+            return writer
+
+        writer = asyncio.run(main())
+        assert writer.writes == [
+            self.HEAD, self.chunks([cell]), self.chunks([done]) + self.LAST,
+        ]
 
 
 # ----------------------------------------------------------------------

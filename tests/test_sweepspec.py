@@ -6,9 +6,12 @@ on — every structural mistake is a one-line :exc:`SpecError` naming the
 offending key path, and valid documents produce the rows in spec order.
 """
 
+import collections
+import typing
+
 import pytest
 
-from repro.predictors import EngineConfig
+from repro.predictors import EngineConfig, TargetCacheConfig
 from repro.sweepspec import SpecError, parse_spec_document, parse_spec_text
 
 
@@ -113,3 +116,22 @@ def test_parse_text_round_trip():
         '{"benchmarks": ["perl"], "cells": [{"preset": "btb-only"}]}'
     )
     assert len(plan.rows) == 1
+
+
+def test_repeated_parses_resolve_each_dataclass_hints_once(monkeypatch):
+    """``from_spec`` resolves a config class's annotations once, not once
+    per decode: re-evaluating them was most of a warm request's parse."""
+    resolved = collections.Counter()
+    real = typing.get_type_hints
+
+    def counting(obj, *args, **kwargs):
+        resolved[obj] += 1
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    engine = EngineConfig(target_cache=TargetCacheConfig()).to_spec()
+    document = {"benchmarks": ["perl"],
+                "cells": [{"engine": engine}, {"preset": "ittage-lite"}]}
+    plans = [parse_spec_document(document) for _ in range(20)]
+    assert all(plan == plans[0] for plan in plans)
+    assert all(count <= 1 for count in resolved.values()), resolved
