@@ -7,10 +7,18 @@ per-cell loop touches only the target-cache-relevant subset of branches
 (a few percent) instead of every dynamic branch.  A second assertion keeps
 the stream build itself amortisable: build + warm sweep must beat the
 reference sweep outright, otherwise grouping cells by signature in
-``run_cells`` would no longer pay.
+``run_cells`` would no longer pay.  A third keeps the build itself at
+array speed: building perl's streams for Table 2's two signatures must
+beat the frozen per-row walk it replaced (``tests/streams_reference.py``)
+by at least 1.6x.  On a shared 2-vCPU host its measurement read
+2.6-3.4x at 60k instructions over four runs, and 1.04x with
+``build_streams`` pointed back at the frozen walk.
 
 Timing is min-of-rounds (like ``test_runner_speed.py``) so scheduler noise
-cannot mask a regression.  Runs with plain pytest:
+cannot mask a regression; the build guard runs its two timed blocks in
+turn, round by round, as ``test_timing_speed.py`` does, and a failure
+lists every round's two times.  Runs with plain pytest from the
+repository root:
 ``PYTHONPATH=src python -m pytest -q benchmarks/test_stream_speed.py``.
 """
 
@@ -29,7 +37,9 @@ from repro.predictors import (
     simulate_streamed,
     stream_signature,
 )
+from repro.predictors.btb import UpdateStrategy
 from repro.workloads import get_trace
+from tests.streams_reference import reference_build_streams
 
 #: perl is the paper's indirect-jump-heavy headline workload; its subset
 #: fraction is realistic for the sweeps the kernel exists to accelerate.
@@ -37,6 +47,9 @@ WORKLOAD = "perl"
 N_CONFIGS = 12
 ROUNDS = 3
 MIN_WARM_SPEEDUP = 5.0
+BUILD_ROUNDS = 5
+BUILDS_PER_ROUND = 3
+MIN_BUILD_SPEEDUP = 1.6
 
 
 def _trace_length() -> int:
@@ -116,3 +129,40 @@ def test_stream_results_match_reference(trace, configs):
         assert got.branches == reference.branches
         assert got.branch_mispredictions == reference.branch_mispredictions
         assert got.btb_hits == reference.btb_hits
+
+
+def _alternating_rounds(first, second, rounds=BUILD_ROUNDS):
+    """The ``(first, second)`` times of each round of first-then-second."""
+    times = []
+    for _ in range(rounds):
+        pair = []
+        for func in (first, second):
+            start = time.perf_counter()
+            func()
+            pair.append(time.perf_counter() - start)
+        times.append(tuple(pair))
+    return times
+
+
+def test_build_is_1_6x_faster_than_reference(trace):
+    decoded = decode_branches(trace)
+    signatures = [stream_signature(EngineConfig(btb_strategy=strategy))
+                  for strategy in UpdateStrategy]
+
+    def builds(build):
+        return lambda: [build(decoded, signature)
+                        for _ in range(BUILDS_PER_ROUND)
+                        for signature in signatures]
+
+    rounds = _alternating_rounds(builds(reference_build_streams),
+                                 builds(build_streams))
+    measured = (min(reference for reference, _ in rounds)
+                / min(build for _, build in rounds))
+    listed = ", ".join(f"({reference:.3f}, {build:.3f})"
+                       for reference, build in rounds)
+    assert measured >= MIN_BUILD_SPEEDUP, (
+        f"building {WORKLOAD}'s streams ran {measured:.2f}x faster than the "
+        f"frozen per-row walk (< {MIN_BUILD_SPEEDUP}x) — the build is back "
+        f"to a method call per row; (reference, build) seconds per round: "
+        f"{listed}"
+    )

@@ -44,7 +44,8 @@ HOT_PATHS: Tuple[Tuple[str, str, bool], ...] = (
     ("predictors/engine.py", "FetchEngine.process_branch", True),
     ("predictors/engine.py", "simulate", False),
     ("predictors/engine.py", "simulate_many", False),
-    ("predictors/streams.py", "build_streams", False),
+    ("predictors/streams.py", "_direction_counters", False),
+    ("predictors/streams.py", "_walk_btb_and_ras", False),
     ("predictors/streams.py", "_variant_walk", False),
     ("predictors/streams.py", "BranchStreams._per_address_variant", False),
     ("predictors/streams.py", "simulate_streamed", False),

@@ -357,35 +357,53 @@ class DecodedBranches:
     simulate the same trace under many configs should decode once via
     :func:`decode_branches` and pass the result to :func:`simulate` — or use
     :func:`simulate_many`, which does exactly that.
+
+    ``row_column``, ``pc_column``, ``kind_column``, ``taken_column`` and
+    ``next_pc_column`` hold the same rows as numpy arrays (int64, except
+    the trace's own uint8 ``BranchKind`` values and bool outcomes), so the
+    stream build and its history variants read them instead of re-deriving
+    them from the lists on every call.
     """
 
     __slots__ = ("instructions", "rows", "pcs", "kinds", "takens",
-                 "targets", "next_pcs")
+                 "targets", "next_pcs", "row_column", "pc_column",
+                 "kind_column", "taken_column", "next_pc_column")
 
-    def __init__(self, instructions: int, rows: List[int], pcs: List[int],
-                 kinds: List[BranchKind], takens: List[bool],
-                 targets: List[int], next_pcs: List[int]) -> None:
+    def __init__(self, instructions: int,
+                 row_column: "npt.NDArray[np.int64]",
+                 pc_column: "npt.NDArray[np.int64]",
+                 kind_column: "npt.NDArray[np.uint8]",
+                 taken_column: "npt.NDArray[np.bool_]",
+                 target_column: "npt.NDArray[np.uint64]",
+                 next_pc_column: "npt.NDArray[np.int64]") -> None:
+        kind_table = KIND_BY_VALUE
         self.instructions = instructions
-        self.rows = rows
-        self.pcs = pcs
-        self.kinds = kinds
-        self.takens = takens
-        self.targets = targets
-        self.next_pcs = next_pcs
+        self.row_column = row_column
+        self.pc_column = pc_column
+        self.kind_column = kind_column
+        self.taken_column = taken_column
+        self.next_pc_column = next_pc_column
+        self.rows: List[int] = row_column.tolist()
+        self.pcs: List[int] = pc_column.tolist()
+        self.kinds: List[BranchKind] = [
+            kind_table[v] for v in kind_column.tolist()
+        ]
+        self.takens: List[bool] = taken_column.tolist()
+        self.targets: List[int] = target_column.tolist()
+        self.next_pcs: List[int] = next_pc_column.tolist()
 
 
 def decode_branches(trace: Trace) -> DecodedBranches:
-    """Extract ``trace``'s branch rows into loop-ready Python lists."""
+    """Extract ``trace``'s branch rows into loop-ready lists and columns."""
     branch_rows = np.flatnonzero(trace.is_branch)
-    kind_table = KIND_BY_VALUE
     return DecodedBranches(
         instructions=len(trace),
-        rows=branch_rows.tolist(),
-        pcs=trace.pc[branch_rows].tolist(),
-        kinds=[kind_table[v] for v in trace.branch_kind[branch_rows].tolist()],
-        takens=trace.taken[branch_rows].tolist(),
-        targets=trace.target[branch_rows].tolist(),
-        next_pcs=trace.next_pc_array()[branch_rows].tolist(),
+        row_column=branch_rows,
+        pc_column=trace.pc[branch_rows].astype(np.int64),
+        kind_column=trace.branch_kind[branch_rows],
+        taken_column=trace.taken[branch_rows],
+        target_column=trace.target[branch_rows],
+        next_pc_column=trace.next_pc_array()[branch_rows].astype(np.int64),
     )
 
 

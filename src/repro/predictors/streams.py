@@ -38,20 +38,29 @@ stream therefore serves every requested width up to 64
 The reference :func:`~repro.predictors.engine.simulate` stays the oracle:
 ``tests/test_streams.py`` asserts bit-identical stats and mispredict masks
 across workloads, configs, and hypothesis-generated ``EngineConfig``s.
+The build has its own: the per-row walk it replaced, frozen in
+``tests/streams_reference.py``, which ``tests/test_streams_equivalence.py``
+holds every :class:`BranchStreams` field equal to.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.guest.isa import INSTRUCTION_BYTES, BranchKind
-from repro.predictors.btb import BranchTargetBuffer, UpdateStrategy
-from repro.predictors.direction import DirectionConfig, DirectionPredictor
+from repro.predictors.btb import UpdateStrategy
+from repro.predictors.direction import (
+    _COUNTER_MAX,
+    _INITIAL_COUNTER,
+    _TAKEN_THRESHOLD,
+    DirectionConfig,
+)
 from repro.predictors.engine import (
     _CALL_KINDS,
     _TARGET_CACHE_KINDS,
@@ -61,7 +70,7 @@ from repro.predictors.engine import (
     PredictionStats,
 )
 from repro.predictors.history import PathFilter
-from repro.predictors.ras import ReturnAddressStack
+from repro.predictors.indexing import parse_scheme
 from repro.predictors.registry import registration
 
 #: Width of the shared wide history registers.  Any cell needing more bits
@@ -93,11 +102,20 @@ _FILTER_KIND_VALUES: Dict[PathFilter, Tuple[int, ...]] = {
     ),
 }
 
-#: Kind values that update the per-address path history (module frozenset
-#: so the per-row test in the variant walk is an int membership).
-_PER_ADDRESS_KIND_VALUES = frozenset(int(kind) for kind in _TARGET_CACHE_KINDS)
+#: Kind values the target cache predicts, which are also the ones that
+#: update the per-address path history (module frozensets, so per-row
+#: tests are int memberships); with returns when the cache handles them.
+_TC_VALUES = frozenset(int(kind) for kind in _TARGET_CACHE_KINDS)
+_TC_VALUES_WITH_RETURNS = _TC_VALUES | {int(BranchKind.RETURN)}
 
 _N_KINDS = max(BranchKind) + 1
+
+#: Kind values the BTB and RAS walk tests per row, as plain ints.
+_COND_VALUE = int(BranchKind.COND_DIRECT)
+_RETURN_VALUE = int(BranchKind.RETURN)
+_CALL_VALUES = frozenset(int(kind) for kind in _CALL_KINDS)
+_INDIRECT_VALUES = frozenset(int(kind) for kind in BranchKind
+                             if kind.is_indirect)
 
 #: One target-cache-relevant row, pre-unpacked for the cell kernel:
 #: (pc, kind value, target, next_pc, fallback prediction, routed-at-fetch,
@@ -342,13 +360,8 @@ class BranchStreams:
     def _pattern_variant(self) -> "npt.NDArray[np.uint64]":
         """Wide global pattern history (conditional outcomes) per subset row."""
         decoded = self.decoded
-        kind_values = np.fromiter(
-            (int(kind) for kind in decoded.kinds), dtype=np.int64,
-            count=self.n_branches,
-        )
-        qualifying = np.flatnonzero(kind_values == int(BranchKind.COND_DIRECT))
-        takens = np.asarray(decoded.takens, dtype=np.int64)
-        fragments = takens[qualifying]
+        qualifying = np.flatnonzero(decoded.kind_column == _COND_VALUE)
+        fragments = decoded.taken_column[qualifying].astype(np.int64)
         return _variant_walk(
             qualifying.tolist(), fragments.tolist(),
             self.subset_indices.tolist(), self.subset_selectors.tolist(), 1,
@@ -358,17 +371,13 @@ class BranchStreams:
                       address_bit: int) -> "npt.NDArray[np.uint64]":
         """Wide global path history for one (filter, bpt, bit) variant."""
         decoded = self.decoded
-        kind_values = np.fromiter(
-            (int(kind) for kind in decoded.kinds), dtype=np.int64,
-            count=self.n_branches,
-        )
         accepted = np.isin(
-            kind_values, np.asarray(_FILTER_KIND_VALUES[path_filter])
+            decoded.kind_column, np.asarray(_FILTER_KIND_VALUES[path_filter])
         )
         # the engine records only redirecting executions (redirected=taken)
-        accepted &= np.asarray(decoded.takens, dtype=bool)
+        accepted &= decoded.taken_column
         qualifying = np.flatnonzero(accepted)
-        destinations = np.asarray(decoded.next_pcs, dtype=np.int64)[qualifying]
+        destinations = decoded.next_pc_column[qualifying]
         fragment_mask = (1 << bits_per_target) - 1
         fragments = (destinations >> address_bit) & fragment_mask
         return _variant_walk(
@@ -396,7 +405,7 @@ class BranchStreams:
             value = get_register(pc, 0)
             if selector == _SEL_PRE:
                 out[j] = value
-            if kind_value in _PER_ADDRESS_KIND_VALUES:
+            if kind_value in _TC_VALUES:
                 fragment = (target >> address_bit) & fragment_mask
                 value = ((value << bits_per_target) | fragment) & _WIDE_MASK
                 registers[pc] = value
@@ -434,142 +443,250 @@ def _variant_walk(qualifying: List[int], fragments: List[int],
     return np.array(out, dtype=np.uint64)
 
 
-def build_streams(decoded: DecodedBranches,
-                  config: StreamConfig) -> BranchStreams:
-    """Walk ``decoded`` once under ``config`` and materialise the streams.
+def _pattern_before(conditional: "npt.NDArray[np.bool_]",
+                    takens: "npt.NDArray[np.bool_]",
+                    bits: int) -> "npt.NDArray[np.uint64]":
+    """Low ``bits`` bits of the global pattern history before each row.
 
-    This is the amortised cost: one reference-speed pass over every branch
-    (BTB + RAS + direction predictor, no target cache), after which every
-    cell sharing the signature pays only for its target-cache subset.
+    The history after ``k`` conditional outcomes holds outcome ``k-1-d``
+    at bit ``d``, so each bit is one shifted slice of the outcome column.
     """
-    btb = BranchTargetBuffer(sets=config.btb_sets, ways=config.btb_ways,
-                             strategy=config.btb_strategy)
-    direction = DirectionPredictor(config.direction)
-    ras = ReturnAddressStack(depth=config.ras_depth)
-    handles_returns = config.target_cache_handles_returns
-    if handles_returns:
-        tc_kinds = _TARGET_CACHE_KINDS | {BranchKind.RETURN}
-    else:
-        tc_kinds = _TARGET_CACHE_KINDS
+    outcomes = takens[conditional].astype(np.uint64)
+    count = len(outcomes)
+    padded = np.concatenate((np.zeros(bits, dtype=np.uint64), outcomes))
+    after = np.zeros(count + 1, dtype=np.uint64)
+    for bit in range(bits):
+        after |= padded[bits - 1 - bit:bits + count - bit] << np.uint64(bit)
+    seen_before = np.cumsum(conditional) - conditional
+    return after[seen_before]
 
-    lookup = btb.lookup
-    update_btb = btb.update
-    predict_direction = direction.predict
-    update_direction = direction.update
-    push_ras = ras.push
+
+def _direction_counters(decoded: DecodedBranches,
+                        config: DirectionConfig) -> List[int]:
+    """The 2-bit counter the direction predictor reads at every branch row.
+
+    Each value is the counter :meth:`DirectionPredictor.predict` reads for
+    the row's pc just before the row resolves, so ``>= _TAKEN_THRESHOLD``
+    is its prediction.  Only conditional rows train the counters (and the
+    histories), but every row reads one: a BTB entry whose stored kind is
+    stale and conditional reads the counter the engine would read.  For
+    gag, gas and gshare the pattern history and the counter index of every
+    row come from numpy; pas keeps its per-pc local history in the loop.
+    """
+    conditional = decoded.kind_column == _COND_VALUE
+    condition_list = conditional.tolist()
+    takens = decoded.takens
+    values: List[int] = []
+    record = values.append
+    scheme = config.scheme.lower()
+    if scheme == "pas":
+        index_scheme = parse_scheme("gas", config.history_bits,
+                                    config.address_bits)
+        counters = [_INITIAL_COUNTER] * index_scheme.table_size
+        # the address half of each row's index; the local history is the
+        # other half, already masked to its width
+        address_parts = index_scheme.index_array(
+            decoded.pc_column,
+            np.zeros(len(condition_list), dtype=np.uint64),
+        ).tolist()
+        local_mask = (1 << config.history_bits) - 1
+        local: Dict[int, int] = {}
+        get_local = local.get
+        for pc, address_part, is_conditional, taken in zip(
+                decoded.pcs, address_parts, condition_list, takens):
+            history = get_local(pc, 0)
+            index = address_part | history
+            counter = counters[index]
+            record(counter)
+            if is_conditional:
+                if taken:
+                    if counter < _COUNTER_MAX:
+                        counters[index] = counter + 1
+                elif counter:
+                    counters[index] = counter - 1
+                local[pc] = ((history << 1) | taken) & local_mask
+        return values
+    index_scheme = parse_scheme(scheme, config.history_bits,
+                                config.address_bits)
+    counters = [_INITIAL_COUNTER] * index_scheme.table_size
+    # the walk's pattern register was WIDE_HISTORY_BITS wide, so no index
+    # ever saw a higher history bit
+    histories = _pattern_before(
+        conditional, decoded.taken_column,
+        min(config.history_bits, WIDE_HISTORY_BITS),
+    )
+    indices = index_scheme.index_array(decoded.pc_column, histories).tolist()
+    for index, is_conditional, taken in zip(indices, condition_list, takens):
+        counter = counters[index]
+        record(counter)
+        if is_conditional:
+            if taken:
+                if counter < _COUNTER_MAX:
+                    counters[index] = counter + 1
+            elif counter:
+                counters[index] = counter - 1
+    return values
+
+
+#: What one BTB and RAS walk leaves for :func:`build_streams`: the hit
+#: count, the positions of the base-mispredicted, routed and BTB-missed
+#: target-cache rows, and the subset's positions, selectors and rows.
+_Walk = Tuple[int, List[int], List[int], List[int], List[int], List[int],
+              List[_SubsetRow]]
+
+
+def _walk_btb_and_ras(decoded: DecodedBranches, config: StreamConfig,
+                      direction_counters: List[int]) -> _Walk:
+    """Drive the BTB and the RAS over every branch row in plain-int state.
+
+    The same walk as the engine's ``process_branch`` without a target
+    cache, and with the direction predictor's reads precomputed.  Each BTB
+    set is an insertion-ordered dict ``tag -> [target, kind value, miss
+    streak, fallthrough]`` whose first key is the LRU victim, as in
+    :class:`~repro.predictors.btb.BranchTargetBuffer`; a hit refreshes
+    recency once, and the update later in the row finds the entry already
+    newest.
+    """
+    words = decoded.pc_column // INSTRUCTION_BYTES
+    set_list = (words & (config.btb_sets - 1)).tolist()
+    tag_list = (words >> (config.btb_sets.bit_length() - 1)).tolist()
+    storage: List[Dict[int, List[int]]] = [
+        {} for _ in range(config.btb_sets)
+    ]
+    ways = config.btb_ways
+    two_bit = config.btb_strategy is UpdateStrategy.TWO_BIT
+    handles_returns = config.target_cache_handles_returns
+    tc_values = _TC_VALUES_WITH_RETURNS if handles_returns else _TC_VALUES
+    ras: Deque[int] = deque(maxlen=config.ras_depth)
+    push_ras = ras.append
     pop_ras = ras.pop
-    cond_kind = BranchKind.COND_DIRECT
-    return_kind = BranchKind.RETURN
-    call_kinds = _CALL_KINDS
+    pcs = decoded.pcs
+    rows = decoded.rows
+    cond_value, return_value = _COND_VALUE, _RETURN_VALUE
+    call_values, indirect_values = _CALL_VALUES, _INDIRECT_VALUES
+    threshold = _TAKEN_THRESHOLD
     sel_pre, sel_post, sel_zero = _SEL_PRE, _SEL_POST, _SEL_ZERO
 
-    pattern = 0
-    base_mispredicts: List[bool] = []
-    append_mispredict = base_mispredicts.append
-    subset_index: List[int] = []
-    subset_selector: List[int] = []
-    subset_rows: List[_SubsetRow] = []
-    append_subset = subset_rows.append
-    append_index = subset_index.append
-    append_selector = subset_selector.append
+    hits = 0
+    mispredicted: List[int] = []
+    append_mispredict = mispredicted.append
     routed_positions: List[int] = []
     append_routed = routed_positions.append
     missed_positions: List[int] = []
     append_missed = missed_positions.append
+    subset_index: List[int] = []
+    append_index = subset_index.append
+    subset_selector: List[int] = []
+    append_selector = subset_selector.append
+    subset_rows: List[_SubsetRow] = []
+    append_subset = subset_rows.append
 
-    for i, (row, pc, kind, taken, target, next_pc) in enumerate(zip(
-        decoded.rows, decoded.pcs, decoded.kinds, decoded.takens,
-        decoded.targets, decoded.next_pcs,
-    )):
-        fallthrough = pc + INSTRUCTION_BYTES
-        entry = lookup(pc)
-        routed = False
-        popped_ras = False
+    for i, (bucket_index, tag, kind, target, next_pc, counter) in enumerate(
+            zip(set_list, tag_list, decoded.kind_column.tolist(),
+                decoded.targets, decoded.next_pcs, direction_counters)):
+        bucket = storage[bucket_index]
+        entry = bucket.pop(tag, None)
         if entry is None:
-            hit = False
-            stored_target = 0
-            base_prediction = fallthrough
-        else:
-            hit = True
-            entry_kind = entry.kind
-            stored_target = entry.target
-            if entry_kind is cond_kind:
-                if predict_direction(pc, pattern):
-                    base_prediction = stored_target
-                else:
-                    base_prediction = fallthrough
-            elif entry_kind is return_kind and not handles_returns:
-                popped = pop_ras()
-                popped_ras = True
-                base_prediction = popped if popped is not None else fallthrough
-            elif entry_kind in tc_kinds:
-                # a structural target-cache miss falls back to the BTB's
-                # stored target; cells adjust routed rows from here
-                routed = True
-                base_prediction = stored_target
-            else:
-                base_prediction = stored_target
-            if entry_kind in call_kinds:
-                push_ras(entry.fallthrough)
-        append_mispredict(base_prediction != next_pc)
-
-        # ----- resolve-time updates, mirroring process_branch exactly
-        if kind is cond_kind:
-            update_direction(pc, pattern, taken)
-            pattern = ((pattern << 1) | (1 if taken else 0)) & _WIDE_MASK
-        updates_cache = kind in tc_kinds
-        if updates_cache or routed:
-            btb_missed = False
-            fallback = stored_target
-            if not updates_cache:
-                selector = sel_pre
-            elif not hit:
+            # a miss predicts fall-through; the resolve pops a return's RAS
+            # slot or pushes a call's return address, then allocates
+            fallthrough = pcs[i] + INSTRUCTION_BYTES
+            if fallthrough != next_pc:
+                append_mispredict(i)
+            if kind in call_values:
+                push_ras(fallthrough)
+            elif kind == return_value and ras:
+                pop_ras()
+            if len(bucket) >= ways:
+                del bucket[next(iter(bucket))]
+            bucket[tag] = [target, kind, 0, fallthrough]
+            if kind in tc_values:
                 # no fetch-time access happened; the engine indexes with
                 # the history as of resolve (after this branch's updates).
                 # A predicts_on_btb_miss kind still predicts here, falling
                 # back to fall-through when it too structurally misses.
-                selector = sel_post
-                btb_missed = True
-                fallback = fallthrough
                 append_missed(i)
-            elif routed:
-                selector = sel_pre
+                append_index(i)
+                append_selector(sel_post)
+                append_subset((pcs[i], kind, target, next_pc, fallthrough,
+                               False, True, rows[i], True))
+            continue
+        bucket[tag] = entry
+        hits += 1
+        stored_target, entry_kind, miss_streak, stored_fallthrough = entry
+        routed = False
+        popped = False
+        if entry_kind == cond_value:
+            if counter >= threshold:
+                prediction = stored_target
+            else:
+                prediction = pcs[i] + INSTRUCTION_BYTES
+        elif entry_kind == return_value and not handles_returns:
+            popped = True
+            prediction = pop_ras() if ras else pcs[i] + INSTRUCTION_BYTES
+        else:
+            # a structural target-cache miss falls back to the BTB's
+            # stored target; cells adjust routed rows from here
+            prediction = stored_target
+            routed = entry_kind in tc_values
+        if entry_kind in call_values:
+            push_ras(stored_fallthrough)
+        if prediction != next_pc:
+            append_mispredict(i)
+        if kind == return_value and not popped and ras:
+            pop_ras()
+        entry[1] = kind
+        if kind not in indirect_values:
+            entry[0] = target
+        elif stored_target == target:
+            entry[2] = 0
+        elif not two_bit:
+            entry[0] = target
+        elif miss_streak:
+            # TWO_BIT: replace only on the second consecutive miss
+            entry[0] = target
+            entry[2] = 0
+        else:
+            entry[2] = 1
+        updates_cache = kind in tc_values
+        if updates_cache or routed:
+            if routed:
+                append_routed(i)
+                append_selector(sel_pre)
             else:
                 # BTB hit with a stale non-indirect kind: the engine never
                 # computes a history and updates with index 0
-                selector = sel_zero
+                append_selector(sel_zero)
             append_index(i)
-            append_selector(selector)
-            append_subset((pc, int(kind), target, next_pc, fallback,
-                           routed, updates_cache, row, btb_missed))
-            if routed:
-                append_routed(i)
-        if kind is return_kind and not popped_ras:
-            pop_ras()
-        if kind in call_kinds and entry is None:
-            push_ras(fallthrough)
-        update_btb(pc, kind, target,
-                   predicted_target_correct=hit and stored_target == target)
+            append_subset((pcs[i], kind, target, next_pc, stored_target,
+                           routed, updates_cache, rows[i], False))
+    return (hits, mispredicted, routed_positions, missed_positions,
+            subset_index, subset_selector, subset_rows)
 
+
+def build_streams(decoded: DecodedBranches,
+                  config: StreamConfig) -> BranchStreams:
+    """Walk ``decoded`` once under ``config`` and materialise the streams.
+
+    This is the amortised cost: one pass of the direction predictor
+    (:func:`_direction_counters`) and one of the BTB and RAS
+    (:func:`_walk_btb_and_ras`) over every branch, with no target cache,
+    after which every cell sharing the signature pays only for its
+    target-cache subset.
+    """
+    (hits, mispredicted_positions, routed_positions, missed_positions,
+     subset_index, subset_selector, subset_rows) = _walk_btb_and_ras(
+         decoded, config, _direction_counters(decoded, config.direction))
     n = len(decoded.rows)
-    kind_values = np.fromiter(
-        (int(kind) for kind in decoded.kinds), dtype=np.int64, count=n,
-    )
-    mispredicted = np.asarray(base_mispredicts, dtype=bool)
-    routed_mask = np.zeros(n, dtype=bool)
-    if routed_positions:
-        routed_mask[np.asarray(routed_positions, dtype=np.int64)] = True
-    missed_mask = np.zeros(n, dtype=bool)
-    if missed_positions:
-        missed_mask[np.asarray(missed_positions, dtype=np.int64)] = True
-    rows = np.asarray(decoded.rows, dtype=np.int64)
-    fixed = mispredicted & ~routed_mask
-    backstop_fixed = fixed & ~missed_mask
+    kind_values = decoded.kind_column
+    mispredicted = _position_mask(n, mispredicted_positions)
+    rows = decoded.row_column
+    fixed = mispredicted & ~_position_mask(n, routed_positions)
+    backstop_fixed = fixed & ~_position_mask(n, missed_positions)
     return BranchStreams(
         decoded=decoded,
         config=config,
-        btb_lookups=btb.lookups,
-        btb_hits=btb.hits,
+        btb_lookups=n,
+        btb_hits=hits,
         executed_by_kind=np.bincount(kind_values, minlength=_N_KINDS),
         base_mispredicts_by_kind=np.bincount(
             kind_values[mispredicted], minlength=_N_KINDS
@@ -587,6 +704,13 @@ def build_streams(decoded: DecodedBranches,
         subset_selectors=np.asarray(subset_selector, dtype=np.int8),
         subset_rows=subset_rows,
     )
+
+
+def _position_mask(n: int, positions: List[int]) -> "npt.NDArray[np.bool_]":
+    """A length-``n`` bool column, True at ``positions``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(positions, dtype=np.int64)] = True
+    return mask
 
 
 def simulate_streamed(streams: BranchStreams, config: EngineConfig,

@@ -156,8 +156,10 @@ def parse_spec_document(document: Any) -> SweepPlan:
     naming the offending key path.  The ``plugins`` modules are imported
     (:func:`~repro.predictors.load_plugins`) as soon as that list
     validates, before any cell is checked, so a cell may name a predictor
-    kind that one of them registers; an exception other than
-    ``ImportError`` raised while one is imported propagates unchanged.
+    kind that one of them registers.  A module that cannot be found only
+    warns, as it does in a pool worker; any other exception raised while
+    one is imported becomes a :exc:`SpecError` naming its ``plugins[i]``
+    entry and the exception.
     """
     if not isinstance(document, dict):
         raise SpecError(
@@ -171,7 +173,14 @@ def parse_spec_document(document: Any) -> SweepPlan:
             "(valid: plugins, benchmarks, cells)"
         )
     plugins = _require_string_list(document.get("plugins", []), "plugins")
-    load_plugins(plugins)
+    for index, module in enumerate(plugins):
+        try:
+            load_plugins([module])
+        except Exception as exc:
+            raise SpecError(
+                f"'plugins[{index}]': importing {module!r} raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
     known = _known_benchmarks()
     default_benchmarks = document.get("benchmarks")
     if default_benchmarks is None:

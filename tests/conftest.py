@@ -1,5 +1,5 @@
 """Shared fixtures: small session-scoped traces, a hermetic trace cache,
-and a temporary predictor plugin module."""
+and temporary predictor plugin modules."""
 
 import sys
 
@@ -79,6 +79,21 @@ register(
     spec_examples=(TargetCacheConfig(kind="spec_plugin_probe"),),
 )
 """
+
+
+@pytest.fixture
+def raising_spec_plugin(tmp_path, monkeypatch):
+    """A plugin module on ``sys.path`` whose body raises ``ValueError``
+    when imported.  Yields the module name."""
+    module = "spec_plugin_raises"
+    plugin_dir = tmp_path / "plugins"
+    plugin_dir.mkdir()
+    (plugin_dir / f"{module}.py").write_text(
+        "raise ValueError('plugin body failed')\n")
+    monkeypatch.syspath_prepend(str(plugin_dir))
+    assert module not in sys.modules
+    yield module
+    sys.modules.pop(module, None)
 
 
 @pytest.fixture

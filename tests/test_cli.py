@@ -222,6 +222,23 @@ def test_sweep_imports_plugins_before_checking_cells(capsys, tmp_path,
     assert f"perl {kind}()" in capsys.readouterr().out
 
 
+def test_sweep_plugin_that_raises_is_a_one_line_error(capsys, tmp_path,
+                                                      raising_spec_plugin):
+    """A plugin whose module body raises exits 2 naming its entry, not
+    with a traceback."""
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "plugins": ["repro", raising_spec_plugin], "benchmarks": ["perl"],
+        "cells": [{"preset": "btb-only"}],
+    }))
+    assert main(["sweep", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"repro sweep: 'plugins[1]': importing '{raising_spec_plugin}' "
+        "raised ValueError: plugin body failed\n"
+    )
+
+
 def test_loadgen_unreachable_server_exits_2(capsys, monkeypatch):
     import repro.service.loadgen as loadgen_mod
 

@@ -332,6 +332,21 @@ class TestServerEndToEnd:
 
         assert self.run_server(scenario, tmp_path)
 
+    def test_plugin_that_raises_gets_400(self, tmp_path,
+                                         raising_spec_plugin):
+        spec = {"plugins": [raising_spec_plugin],
+                "cells": [{"preset": "btb-only"}]}
+
+        async def scenario(service, client):
+            return await client.request("POST", "/sweeps", spec)
+
+        status, error = self.run_server(scenario, tmp_path)
+        assert status == 400
+        assert error["error"] == (
+            f"'plugins[0]': importing '{raising_spec_plugin}' raised "
+            "ValueError: plugin body failed"
+        )
+
     def test_unknown_routes_and_jobs_get_404(self, tmp_path):
         async def scenario(service, client):
             status, error = await client.request("GET", "/sweeps/zzz")
