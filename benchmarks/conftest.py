@@ -11,6 +11,7 @@ qualitative findings.
 """
 
 import os
+import time
 
 import pytest
 
@@ -47,3 +48,27 @@ def run_once(benchmark):
                                   rounds=1, iterations=1)
 
     return runner
+
+
+@pytest.fixture
+def alternating_rounds():
+    """Time two callables in turn, round by round.
+
+    Returns ``run(first, second, rounds)``, which gives the ``(first,
+    second)`` seconds of each round of first-then-second.  A burst of
+    scheduler noise then lands on both blocks rather than on one, and a
+    speed guard can list every round's pair when it fails.
+    """
+
+    def run(first, second, rounds):
+        times = []
+        for _ in range(rounds):
+            pair = []
+            for func in (first, second):
+                start = time.perf_counter()
+                func()
+                pair.append(time.perf_counter() - start)
+            times.append(tuple(pair))
+        return times
+
+    return run

@@ -4,16 +4,17 @@ Asserts the structural win of :func:`repro.predictors.simulate_many`: over
 a batch of configs it must beat the same number of independent
 :func:`simulate` calls, because the per-call trace decode (boolean scan,
 fancy indexing, numpy-scalar unboxing, enum table lookups) happens once
-instead of N times.  Timing uses min-of-several rounds so scheduler noise
-cannot mask a real regression — if this fails, someone re-introduced
-per-call work into the batched path.
+instead of N times.  Timing is min-of-rounds, with the two blocks run in
+turn round by round, so a burst of scheduler noise lands on both rather
+than on one; a failure lists every round's two times, so it shows
+whether one round or all of them were slow.  If every round is slower
+batched, someone re-introduced per-call work into the batched path.
 
 Needs no pytest-benchmark; runs with plain pytest:
 ``PYTHONPATH=src python -m pytest -q benchmarks/test_runner_speed.py``.
 """
 
 import os
-import time
 
 import pytest
 
@@ -42,22 +43,20 @@ def configs():
     return [EngineConfig(btb_sets=1 << bits) for bits in range(4, 4 + N_CONFIGS)]
 
 
-def _min_time(func, rounds=ROUNDS):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_simulate_many_beats_independent_calls(trace, configs):
-    independent = _min_time(lambda: [simulate(trace, c) for c in configs])
-    batched = _min_time(lambda: simulate_many(trace, configs))
+def test_simulate_many_beats_independent_calls(trace, configs,
+                                               alternating_rounds):
+    rounds = alternating_rounds(
+        lambda: [simulate(trace, c) for c in configs],
+        lambda: simulate_many(trace, configs), ROUNDS)
+    independent = min(alone for alone, _ in rounds)
+    batched = min(together for _, together in rounds)
+    listed = ", ".join(f"({alone:.3f}, {together:.3f})"
+                       for alone, together in rounds)
     assert batched < independent, (
         f"simulate_many over {N_CONFIGS} configs took {batched:.3f}s but "
         f"{N_CONFIGS} independent simulate calls took {independent:.3f}s — "
-        "the batched path lost its decode reuse"
+        "the batched path lost its decode reuse; (independent, batched) "
+        f"seconds per round: {listed}"
     )
 
 

@@ -131,20 +131,7 @@ def test_stream_results_match_reference(trace, configs):
         assert got.btb_hits == reference.btb_hits
 
 
-def _alternating_rounds(first, second, rounds=BUILD_ROUNDS):
-    """The ``(first, second)`` times of each round of first-then-second."""
-    times = []
-    for _ in range(rounds):
-        pair = []
-        for func in (first, second):
-            start = time.perf_counter()
-            func()
-            pair.append(time.perf_counter() - start)
-        times.append(tuple(pair))
-    return times
-
-
-def test_build_is_1_6x_faster_than_reference(trace):
+def test_build_is_1_6x_faster_than_reference(trace, alternating_rounds):
     decoded = decode_branches(trace)
     signatures = [stream_signature(EngineConfig(btb_strategy=strategy))
                   for strategy in UpdateStrategy]
@@ -154,8 +141,8 @@ def test_build_is_1_6x_faster_than_reference(trace):
                         for _ in range(BUILDS_PER_ROUND)
                         for signature in signatures]
 
-    rounds = _alternating_rounds(builds(reference_build_streams),
-                                 builds(build_streams))
+    rounds = alternating_rounds(builds(reference_build_streams),
+                                builds(build_streams), BUILD_ROUNDS)
     measured = (min(reference for reference, _ in rounds)
                 / min(build for _, build in rounds))
     listed = ", ".join(f"({reference:.3f}, {build:.3f})"

@@ -21,8 +21,6 @@ plain pytest from the repository root:
 ``PYTHONPATH=src python -m pytest -q benchmarks/test_timing_speed.py``.
 """
 
-import time
-
 import pytest
 
 from repro.experiments.common import ExperimentContext
@@ -57,20 +55,7 @@ def family():
     return ctx.trace("perl"), ctx.machine, ctx.penalty("perl"), masks
 
 
-def _alternating_rounds(first, second, rounds=ROUNDS):
-    """The ``(first, second)`` times of each round of first-then-second."""
-    times = []
-    for _ in range(rounds):
-        pair = []
-        for func in (first, second):
-            start = time.perf_counter()
-            func()
-            pair.append(time.perf_counter() - start)
-        times.append(tuple(pair))
-    return times
-
-
-def test_memo_times_a_mask_family_3x_faster(family):
+def test_memo_times_a_mask_family_3x_faster(family, alternating_rounds):
     trace, machine, penalty, masks = family
     assert len(masks) == 31
 
@@ -79,10 +64,10 @@ def test_memo_times_a_mask_family_3x_faster(family):
         return [run_timing(trace, machine, mask, penalty, memo=memo)
                 for mask in masks]
 
-    rounds = _alternating_rounds(
+    rounds = alternating_rounds(
         lambda: [reference_timing(trace, machine, mask, penalty)
                  for mask in masks],
-        memoised)
+        memoised, ROUNDS)
     measured = (min(reference for reference, _ in rounds)
                 / min(memo for _, memo in rounds))
     listed = ", ".join(f"({reference:.3f}, {memo:.3f})"

@@ -106,6 +106,8 @@ class ProgramBuilder:
                  lowering: Optional[str] = None) -> None:
         self._code: List[Instruction] = []
         self._labels: Dict[str, int] = {}
+        #: Per stem, the index :meth:`unique_label` last returned.
+        self._label_floor: Dict[str, int] = {}
         self._fixups: List[_Fixup] = []
         self._data: Dict[int, Union[int, float]] = {}
         self._data_base = data_base
@@ -131,12 +133,18 @@ class ProgramBuilder:
         return self.here
 
     def unique_label(self, stem: str) -> str:
-        """Return a label name guaranteed not to collide, without defining it."""
-        index = 0
+        """Return a label name guaranteed not to collide, without defining it.
+
+        The name is the first free ``stem_0``, ``stem_1``, ...  Labels are
+        never removed, so every index below the last one returned for
+        ``stem`` is still taken, and the scan resumes there.
+        """
+        index = self._label_floor.get(stem, 0)
         name = f"{stem}_{index}"
         while name in self._labels:
             index += 1
             name = f"{stem}_{index}"
+        self._label_floor[stem] = index
         return name
 
     # ------------------------------------------------------------------

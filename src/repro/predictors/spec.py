@@ -27,13 +27,13 @@ import dataclasses
 import typing
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Tuple, Type, TypeVar
 
 _T = TypeVar("_T")
 
-#: Dataclasses whose resolved field annotations :func:`from_spec` keeps;
-#: the configs a spec can name are about a dozen.
-_HINTS_MEMO_SIZE = 64
+#: Dataclasses whose field decoders :func:`from_spec` keeps; the configs
+#: a spec can name are about a dozen.
+_DECODERS_MEMO_SIZE = 64
 
 #: The JSON-ready rendering of one config dataclass.
 Spec = Dict[str, Any]
@@ -87,38 +87,97 @@ def from_spec(cls: Type[_T], spec: Mapping[str, Any]) -> _T:
         raise ValueError(
             f"{cls.__name__} spec must be a mapping, got {type(spec).__name__}"
         )
-    fields = _field_hints(cls)
-    field_names = [name for name, _ in fields]
-    unknown = sorted(set(spec) - set(field_names))
-    if unknown:
+    return _build(cls, spec)
+
+
+def _build(cls: Type[_T], spec: Mapping[str, Any]) -> _T:
+    """:func:`from_spec` once ``cls`` and ``spec`` are known to fit."""
+    field_names, known, decoders = _field_decoders(cls)
+    if not known.issuperset(spec):
+        unknown = sorted(set(spec) - known)
         raise ValueError(
             f"unknown {cls.__name__} spec field(s): {', '.join(unknown)}; "
             f"valid fields: {', '.join(field_names)}"
         )
-    kwargs = {
-        name: _decode(hint, spec[name], f"{cls.__name__}.{name}")
-        for name, hint in fields
-        if name in spec
-    }
-    return cls(**kwargs)
+    return cls(**{
+        name: decode(spec[name]) for name, decode in decoders if name in spec
+    })
 
 
-@lru_cache(maxsize=_HINTS_MEMO_SIZE)
-def _field_hints(cls: type) -> Tuple[Tuple[str, Any], ...]:
-    """``cls``'s fields with their resolved annotations, in field order.
+#: Decodes one field's spec value.
+_Decoder = Callable[[Any], Any]
 
-    Resolving string annotations (``typing.get_type_hints``) costs several
-    times the rest of a decode, so it runs once per class.
+
+@lru_cache(maxsize=_DECODERS_MEMO_SIZE)
+def _field_decoders(
+    cls: type,
+) -> Tuple[Tuple[str, ...], FrozenSet[str], Tuple[Tuple[str, _Decoder], ...]]:
+    """``cls``'s field names, as a tuple and a set, and each field's decoder.
+
+    Resolving string annotations (``typing.get_type_hints``) and taking
+    them apart costs several times the rest of a decode, so both happen
+    once per class.
     """
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return names, frozenset(names), tuple(
+        (name, _field_decoder(hints[name], f"{cls.__name__}.{name}"))
+        for name in names
+    )
+
+
+def _field_decoder(tp: Any, where: str) -> _Decoder:
+    """The decoder of a field annotated ``tp``.
+
+    A value that already has the annotated type is decoded directly: an
+    ``int``, ``str``, ``bool`` or ``float`` of exactly that class, an
+    enum's value, a plain ``dict`` for a nested config, ``None`` for an
+    ``Optional``.  Anything else goes to :func:`_decode`, which converts
+    what it accepts and is the only place a bad value raises, so a
+    malformed spec fails with the same message as ever.
+    """
+    args = typing.get_args(tp) if _is_union(tp) else ()
+    concrete = [arg for arg in args if arg is not type(None)]
+    optional = len(concrete) < len(args)
+    inner = concrete[0] if len(concrete) == 1 else tp
+
+    if inner in (int, str, bool, float):
+        def decode_scalar(value: Any) -> Any:
+            if value.__class__ is inner or (value is None and optional):
+                return value
+            return _decode(tp, value, where)
+        return decode_scalar
+    if isinstance(inner, type) and issubclass(inner, Enum):
+        members = {member.value: member for member in inner
+                   if member.value.__class__ is str}
+
+        def decode_enum(value: Any) -> Any:
+            if value.__class__ is str and value in members:
+                return members[value]
+            if value is None and optional:
+                return None
+            return _decode(tp, value, where)
+        return decode_enum
+    if isinstance(inner, type) and dataclasses.is_dataclass(inner):
+        def decode_nested(value: Any) -> Any:
+            if value.__class__ is dict:
+                return _build(inner, value)
+            if value is None and optional:
+                return None
+            return _decode(tp, value, where)
+        return decode_nested
+    return lambda value: _decode(tp, value, where)
+
+
+def _is_union(tp: Any) -> bool:
+    origin = typing.get_origin(tp)
+    return origin is typing.Union or (
+        _UNION_TYPE is not None and origin is _UNION_TYPE
+    )
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:
-    origin = typing.get_origin(tp)
-    if origin is typing.Union or (
-        _UNION_TYPE is not None and origin is _UNION_TYPE
-    ):
+    if _is_union(tp):
         args = typing.get_args(tp)
         if value is None and type(None) in args:
             return None

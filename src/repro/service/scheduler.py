@@ -10,10 +10,19 @@ levels, in order of cheapness:
    hands the same :class:`asyncio.Future` to every requester
    (``service.cell.dedup``), so N identical concurrent submissions cost
    one simulation.
-2. **Persistent cache short-circuit** — cells whose key is already in the
-   shared :class:`~repro.runner.cache.ResultCache` resolve without
-   touching the pool (``service.cell.cache_hit``).  Cells of a predictor
-   kind that is not ``deterministic`` skip the cache and the claims.
+2. **Persistent cache short-circuit** — a cell whose record is already in
+   the shared :class:`~repro.runner.cache.ResultCache` resolves at
+   submit, with a future that is already done
+   (``service.cell.cache_hit``): it never enters a shard queue, wakes a
+   shard or gets stolen, so its cost is the record read.  A miss queues,
+   and its shard reads the cache once more before it claims the cell,
+   because a sibling server may have stored it in the meantime.  Since a
+   hit never sits in the in-flight map, a later submit of the same cell
+   is another cache hit rather than a dedup: for the same request mix
+   ``/stats`` shows more ``cache_hit`` and fewer ``dedup`` and ``steals``,
+   and the saved share (dedup plus cache hits) does not change.  Cells of
+   a predictor kind that is not ``deterministic`` skip the cache and the
+   claims.
 3. **Cross-process claims** — before computing, a shard takes an atomic
    claim file in the cache directory
    (:meth:`~repro.runner.cache.ResultCache.claim`).  Losing the claim
@@ -116,10 +125,14 @@ class ShardScheduler:
     def submit(self, benchmark: str, config: EngineConfig,
                collect_mask: bool = False
                ) -> "asyncio.Future[PredictionStats]":
-        """Queue one cell; returns a future shared by duplicate submits.
+        """Resolve or queue one cell; returns a future shared by duplicate
+        submits.
 
-        The returned future must only be awaited (never cancelled by the
-        caller: other requests may share it).
+        A cell already in flight gets that cell's future.  A cell whose
+        record the result cache holds gets a future that is already done;
+        any other cell is queued on its shard.  The returned future must
+        only be awaited (never cancelled by the caller: other requests may
+        share it).
         """
         self.start()
         self.counters["submitted"] += 1
@@ -133,6 +146,11 @@ class ShardScheduler:
         future: "asyncio.Future[PredictionStats]" = (
             asyncio.get_running_loop().create_future()
         )
+        if self.result_cache is not None and cacheable(config):
+            hit = self._load(self.result_cache, key, collect_mask)
+            if hit is not None:
+                future.set_result(hit)
+                return future
         self._inflight[key] = future
         shard = self._shard_of(key)
         self._queues[shard].append(
@@ -213,10 +231,10 @@ class ShardScheduler:
         cache = self.result_cache if cacheable(cell.config) else None
         while True:
             if cache is not None:
-                hit = cache.load(cell.key, need_mask=cell.collect_mask)
+                # Read again before claiming: a sibling server sharing the
+                # cache directory may have stored the cell since submit.
+                hit = self._load(cache, cell.key, cell.collect_mask)
                 if hit is not None:
-                    self.counters["cache_hit"] += 1
-                    get_sink().incr("service.cell.cache_hit")
                     return hit
                 if not cache.claim(cell.key, ttl_s=self.claim_ttl_s):
                     # Another server instance owns this cell: park and
@@ -236,6 +254,16 @@ class ShardScheduler:
             finally:
                 if cache is not None:
                     cache.release(cell.key)
+
+    def _load(self, cache: ResultCache, key: str,
+              collect_mask: bool) -> Optional[PredictionStats]:
+        """The cell's cached stats, counted as a cache hit; ``None`` if the
+        cache has no record (or none with a mask when one is needed)."""
+        hit = cache.load(key, need_mask=collect_mask)
+        if hit is not None:
+            self.counters["cache_hit"] += 1
+            get_sink().incr("service.cell.cache_hit")
+        return hit
 
     async def _compute(self, cell: _Cell) -> PredictionStats:
         loop = asyncio.get_running_loop()

@@ -23,7 +23,9 @@ Endpoints (HTTP+JSON over ``asyncio.start_server``; see
 
 Every request is wrapped in a ``service.request`` obs span and counted
 under ``service.http.<status>``, so a run ledger breaks down server
-behaviour with ``repro report`` exactly like a batch sweep.
+behaviour with ``repro report`` exactly like a batch sweep.  Inside a
+``POST /sweeps`` request, ``service.parse`` times the spec parse and
+``service.submit`` the scheduler submits of its cells.
 """
 
 from __future__ import annotations
@@ -275,8 +277,10 @@ class SweepService:
                           {"error": f"request body is not valid JSON: {exc}"},
                           keep_alive=request.keep_alive)
             return 400
+        sink = get_sink()
         try:
-            plan = parse_spec_document(document)
+            with sink.span("service.parse"):
+                plan = parse_spec_document(document)
         except SpecError as exc:
             json_response(writer, 400, {"error": str(exc)},
                           keep_alive=request.keep_alive)
@@ -286,15 +290,16 @@ class SweepService:
         self._jobs[job.id] = job
         unique = list(dict.fromkeys(plan.cells()))
         job.cells_total = len(unique)
-        futures = {
-            cell: self.scheduler.submit(cell[0], cell[1])
-            for cell in unique
-        }
+        with sink.span("service.submit", cells=len(unique)):
+            futures = {
+                cell: self.scheduler.submit(cell[0], cell[1])
+                for cell in unique
+            }
         self._job_tasks[job.id] = asyncio.get_running_loop().create_task(
             self._run_job(job, futures)
         )
-        get_sink().event("service.sweep.submitted", job=job.id,
-                         rows=len(plan.rows), cells=len(unique))
+        sink.event("service.sweep.submitted", job=job.id,
+                   rows=len(plan.rows), cells=len(unique))
         json_response(writer, 202, {
             "id": job.id, "status": job.status,
             "rows": len(plan.rows), "cells": len(unique),

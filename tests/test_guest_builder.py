@@ -120,6 +120,31 @@ def test_unique_label_never_collides():
     assert first != second
 
 
+def test_unique_label_names_match_a_scan_from_zero():
+    """The per-stem floor returns exactly the names a scan from 0 finds."""
+    b = ProgramBuilder()
+    b.label("work_3")  # defined directly, never returned
+    returned = []
+    for _ in range(6):
+        name = b.unique_label("work")
+        returned.append(name)
+        b.label(name)
+    assert returned == ["work_0", "work_1", "work_2", "work_4", "work_5",
+                        "work_6"]
+    # A returned but never defined name is returned again.
+    pending = b.unique_label("work")
+    assert pending == "work_7"
+    assert b.unique_label("work") == "work_7"
+    b.label("work_8")
+    assert b.unique_label("work") == "work_7"
+    b.label("work_7")
+    assert b.unique_label("work") == "work_9"
+    # Stems are independent, even when one is a prefix of another.
+    b.label("work_1_0")
+    assert b.unique_label("work_1") == "work_1_1"
+    assert b.unique_label("loop") == "loop_0"
+
+
 def test_register_validation_on_emit():
     b = ProgramBuilder()
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ a direct ``run_cells`` sweep — scheduling must be invisible in results.
 """
 
 import asyncio
+import collections
 import contextlib
 import json
 import os
@@ -21,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import LedgerSink, install, read_ledger, shutdown
 from repro.predictors import EngineConfig, TargetCacheConfig
-from repro.runner import ResultCache, SweepCell, SweepPool, run_cells
+from repro.runner import ResultCache, SweepCell, SweepPool, cell_key, run_cells
 from repro.service import SweepService
 from repro.service.server import SweepJob
 from repro.service.http import ProtocolError
@@ -126,6 +128,71 @@ class TestShardScheduler:
         assert second["computed"] == 0
         assert second["cache_hit"] == len(CONFIGS)
 
+    def test_a_cached_cell_resolves_at_submit(self, tmp_path):
+        """A cell whose record is cached gets a future that is already done
+        when ``submit`` returns: it never enters a shard queue, so it is
+        never stolen, and a second submit of it is another cache hit, not a
+        dedup of a queued one."""
+        cache = ResultCache(tmp_path / "svc")
+        direct = run_cells(
+            [SweepCell("perl", config) for config in CONFIGS],
+            jobs=1, trace_length=TRACE_LENGTH, result_cache=None,
+        )
+
+        async def go():
+            with make_pool() as pool:
+                for config, stats in zip(CONFIGS, direct):
+                    cache.store(cell_key("perl", config, pool.trace_length,
+                                         pool.seed), stats)
+                scheduler = ShardScheduler(pool, shards=4,
+                                           result_cache=cache)
+                futures, depths = [], []
+                for config in CONFIGS + CONFIGS:
+                    futures.append(scheduler.submit("perl", config))
+                    depths.append(scheduler.queue_depths())
+                done = [future.done() for future in futures]
+                stats = await asyncio.gather(*futures)
+                counters = dict(scheduler.counters)
+                await scheduler.close()
+                return done, depths, stats, counters
+
+        done, depths, stats, counters = asyncio.run(go())
+        assert all(done)
+        assert all(depth == [0, 0, 0, 0] for depth in depths), depths
+        for got, expected in zip(stats, direct + direct):
+            assert_identical(got, expected)
+        assert counters["cache_hit"] == 2 * len(CONFIGS)
+        assert counters["computed"] == 0
+        assert counters["dedup"] == 0
+        assert counters["steals"] == 0
+
+    def test_a_maskless_record_does_not_answer_a_mask_request(self, tmp_path):
+        cache = ResultCache(tmp_path / "svc")
+        [maskless] = run_cells([SweepCell("perl", CONFIGS[1])], jobs=1,
+                               trace_length=TRACE_LENGTH, result_cache=None)
+        assert maskless.mispredict_mask is None
+
+        async def go():
+            with make_pool() as pool:
+                cache.store(cell_key("perl", CONFIGS[1], pool.trace_length,
+                                     pool.seed), maskless)
+                scheduler = ShardScheduler(pool, shards=2,
+                                           result_cache=cache)
+                future = scheduler.submit("perl", CONFIGS[1],
+                                          collect_mask=True)
+                queued = (future.done(), sum(scheduler.queue_depths()))
+                stats = await future
+                counters = dict(scheduler.counters)
+                await scheduler.close()
+                return queued, stats, counters
+
+        queued, stats, counters = asyncio.run(go())
+        assert queued == (False, 1)
+        assert stats.mispredict_mask is not None
+        assert_identical(stats, maskless)
+        assert counters["computed"] == 1
+        assert counters["cache_hit"] == 0
+
     def test_idle_shards_steal_queued_cells(self, tmp_path):
         async def go():
             with make_pool() as pool:
@@ -200,8 +267,6 @@ class TestShardScheduler:
 
     def test_stale_claim_is_broken(self, tmp_path):
         """A crashed instance's leftover claim must not wedge the cell."""
-        from repro.runner import cell_key
-
         cache_dir = tmp_path / "svc"
         cache = ResultCache(cache_dir)
         # The dead instance claimed exactly the cell we want to run.
@@ -290,6 +355,38 @@ class TestServerEndToEnd:
         for row in job["rows"]:
             assert 0.0 <= row["indirect"] <= 1.0
             assert 0.0 <= row["overall"] <= 1.0
+
+    def test_a_ledger_times_the_parse_and_the_submit(self, tmp_path):
+        """Each ``POST /sweeps`` records one ``service.parse`` and one
+        ``service.submit`` span inside its ``service.request``."""
+        spec = {"benchmarks": ["perl"],
+                "cells": [{"preset": "btb-only"},
+                          {"preset": "tagless-gshare9"}]}
+
+        async def scenario(service, client):
+            for _ in range(2):
+                status, submitted = await client.request(
+                    "POST", "/sweeps", spec)
+                assert status == 202
+                status, events = await client.request(
+                    "GET", submitted["links"]["events"])
+                assert events[-1]["status"] == "done"
+
+        ledger = tmp_path / "serve.jsonl"
+        previous = install(LedgerSink(ledger))
+        try:
+            self.run_server(scenario, tmp_path)
+        finally:
+            shutdown()
+            install(previous)
+        spans = collections.Counter(
+            record["name"] for record in read_ledger(ledger)
+            if record["kind"] == "span")
+        assert spans["service.parse"] == 2
+        assert spans["service.submit"] == 2
+        submits = [record["meta"] for record in read_ledger(ledger)
+                   if record["name"] == "service.submit"]
+        assert submits == [{"cells": 2}, {"cells": 2}]
 
     def test_rows_match_direct_sweep(self, tmp_path):
         """The wire numbers are the batch numbers: same cells, same rates."""
