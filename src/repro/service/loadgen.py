@@ -311,11 +311,14 @@ async def run_load(host: str, port: int, *,
             "submitted": submitted,
             "dedup": delta("dedup"),
             "cache_hit": delta("cache_hit"),
+            "memo_hit": delta("memo_hit"),
             "computed": delta("computed"),
             "steals": delta("steals"),
             "dedup_rate": delta("dedup") / submitted if submitted else 0.0,
             "cache_hit_rate":
                 delta("cache_hit") / submitted if submitted else 0.0,
+            "memo_hit_rate":
+                delta("memo_hit") / submitted if submitted else 0.0,
             "saved_rate": saved / submitted if submitted else 0.0,
         },
         "errors": errors[:20],
@@ -325,6 +328,8 @@ async def run_load(host: str, port: int, *,
         "info_metrics": ["throughput.requests_per_s",
                          "scheduler.dedup_rate",
                          "scheduler.cache_hit_rate",
+                         "scheduler.memo_hit_rate",
+                         "scheduler.memo_hit",
                          "scheduler.saved_rate"],
     }
     sink.event("loadgen.done", requests=requests, done=done,
@@ -348,7 +353,8 @@ def format_loadgen(payload: Dict[str, Any]) -> str:
         f"p95 {latency['p95_s'] * 1e3:8.1f} ms   "
         f"p99 {latency['p99_s'] * 1e3:8.1f} ms",
         f"  cells    submitted {scheduler['submitted']}  "
-        f"dedup {scheduler['dedup']}  cache {scheduler['cache_hit']}  "
+        f"dedup {scheduler['dedup']}  cache {scheduler['cache_hit']} "
+        f"(memo {scheduler['memo_hit']})  "
         f"computed {scheduler['computed']}  steals {scheduler['steals']}",
         f"  saved    {100.0 * scheduler['saved_rate']:.1f}% "
         f"(dedup {100.0 * scheduler['dedup_rate']:.1f}% + "

@@ -9,20 +9,26 @@ levels, in order of cheapness:
    :func:`repro.runner.keys.cell_key`; a cell already queued or computing
    hands the same :class:`asyncio.Future` to every requester
    (``service.cell.dedup``), so N identical concurrent submissions cost
-   one simulation.
+   one simulation.  A submit that asks for the mispredict mask shares
+   only a future that computes one.
 2. **Persistent cache short-circuit** — a cell whose record is already in
    the shared :class:`~repro.runner.cache.ResultCache` resolves at
    submit, with a future that is already done
    (``service.cell.cache_hit``): it never enters a shard queue, wakes a
-   shard or gets stolen, so its cost is the record read.  A miss queues,
-   and its shard reads the cache once more before it claims the cell,
-   because a sibling server may have stored it in the meantime.  Since a
-   hit never sits in the in-flight map, a later submit of the same cell
-   is another cache hit rather than a dedup: for the same request mix
-   ``/stats`` shows more ``cache_hit`` and fewer ``dedup`` and ``steals``,
-   and the saved share (dedup plus cache hits) does not change.  Cells of
-   a predictor kind that is not ``deterministic`` skip the cache and the
-   claims.
+   shard or gets stolen.  In front of the record read sits an LRU of the
+   last :data:`RESULT_MEMO_SIZE` maskless results by cell key, filled by
+   every record hit and every store; a maskless submit it answers costs
+   a dictionary lookup (``service.cell.memo_hit``, also counted as a
+   cache hit), any other costs the record read.  A result depends only on
+   its cell key, so an entry never goes stale.  A miss queues, and its
+   shard reads the cache once more before it claims the cell, because a
+   sibling server may have stored it in the meantime.  Since a hit never
+   sits in the in-flight map, a later submit of the same cell is another
+   cache hit rather than a dedup: for the same request mix ``/stats``
+   shows more ``cache_hit`` and fewer ``dedup`` and ``steals``, and the
+   saved share (dedup plus cache hits) does not change.  Cells of a
+   predictor kind that is not ``deterministic`` skip the memo, the cache
+   and the claims.
 3. **Cross-process claims** — before computing, a shard takes an atomic
    claim file in the cache directory
    (:meth:`~repro.runner.cache.ResultCache.claim`).  Losing the claim
@@ -44,9 +50,10 @@ bit-identical to ``repro sweep`` no matter how the shards interleave.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import dataclasses
+from collections import OrderedDict, deque
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, List, NamedTuple, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import get_sink
 from repro.predictors import EngineConfig, PredictionStats
@@ -54,12 +61,22 @@ from repro.runner import DEFAULT_CLAIM_TTL_S, ResultCache, SweepPool, cell_key
 from repro.runner.keys import cacheable
 from repro.runner.pool import _service_cell
 
+#: Maskless results a scheduler keeps in memory by cell key, in front of
+#: the result cache: room for every cell of the paper's design-space
+#: tables many times over, at about 1.4 KB an entry (under 6 MiB full).
+RESULT_MEMO_SIZE = 4096
+
 
 class _Cell(NamedTuple):
     key: str
     benchmark: str
     config: EngineConfig
     collect_mask: bool
+
+    @property
+    def slot(self) -> Tuple[str, bool]:
+        """The cell's in-flight map key: a mask request is its own cell."""
+        return self.key, self.collect_mask
 
 
 class ShardScheduler:
@@ -77,15 +94,17 @@ class ShardScheduler:
         self.poll_interval_s = poll_interval_s
         self.n_shards = shards
         self._queues: List[Deque[_Cell]] = [deque() for _ in range(shards)]
-        self._inflight: Dict[str, "asyncio.Future[PredictionStats]"] = {}
+        self._inflight: Dict[Tuple[str, bool],
+                             "asyncio.Future[PredictionStats]"] = {}
+        self._memo: "OrderedDict[str, PredictionStats]" = OrderedDict()
         self._wakeup = [asyncio.Event() for _ in range(shards)]
         self._loops: List["asyncio.Task[None]"] = []
         self._closed = False
         #: Monotonic counters mirrored to the obs sink; ``/stats`` reads
         #: these without needing a ledger.
         self.counters: Dict[str, int] = {
-            "submitted": 0, "dedup": 0, "cache_hit": 0, "computed": 0,
-            "steals": 0, "claims_lost": 0, "claims_won": 0,
+            "submitted": 0, "dedup": 0, "cache_hit": 0, "memo_hit": 0,
+            "computed": 0, "steals": 0, "claims_lost": 0, "claims_won": 0,
             "foreign_waits": 0, "errors": 0,
         }
 
@@ -128,39 +147,55 @@ class ShardScheduler:
         """Resolve or queue one cell; returns a future shared by duplicate
         submits.
 
-        A cell already in flight gets that cell's future.  A cell whose
-        record the result cache holds gets a future that is already done;
+        A maskless cell in the memo, or a cell whose record the result
+        cache holds, gets a future that is already done.  A cell already
+        in flight with the same ``collect_mask`` gets that cell's future;
         any other cell is queued on its shard.  The returned future must
         only be awaited (never cancelled by the caller: other requests may
-        share it).
+        share it), and its stats only read: the memo hands the same object
+        to every later submit of the cell.
         """
         self.start()
         self.counters["submitted"] += 1
         key = cell_key(benchmark, config, self.pool.trace_length,
                        self.pool.seed)
-        existing = self._inflight.get(key)
+        cache = self.result_cache if cacheable(config) else None
+        if cache is not None and not collect_mask:
+            hit = self._memo.get(key)
+            if hit is not None:
+                self._memo.move_to_end(key)
+                self.counters["memo_hit"] += 1
+                get_sink().incr("service.cell.memo_hit")
+                self._count_cache_hit()
+                return self._done(hit)
+        cell = _Cell(key, benchmark, config, collect_mask)
+        existing = self._inflight.get(cell.slot)
         if existing is not None:
             self.counters["dedup"] += 1
             get_sink().incr("service.cell.dedup")
             return existing
+        if cache is not None:
+            hit = self._load(cache, key, collect_mask)
+            if hit is not None:
+                return self._done(hit)
         future: "asyncio.Future[PredictionStats]" = (
             asyncio.get_running_loop().create_future()
         )
-        if self.result_cache is not None and cacheable(config):
-            hit = self._load(self.result_cache, key, collect_mask)
-            if hit is not None:
-                future.set_result(hit)
-                return future
-        self._inflight[key] = future
-        shard = self._shard_of(key)
-        self._queues[shard].append(
-            _Cell(key, benchmark, config, collect_mask)
-        )
+        self._inflight[cell.slot] = future
+        self._queues[self._shard_of(key)].append(cell)
         # Wake every shard, not just the owner: an idle sibling should
         # get the chance to steal immediately rather than on its next
         # scheduled pass.
         for event in self._wakeup:
             event.set()
+        return future
+
+    @staticmethod
+    def _done(stats: PredictionStats) -> "asyncio.Future[PredictionStats]":
+        future: "asyncio.Future[PredictionStats]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        future.set_result(stats)
         return future
 
     def _shard_of(self, key: str) -> int:
@@ -205,7 +240,7 @@ class ShardScheduler:
             await self._run_cell(cell)
 
     async def _run_cell(self, cell: _Cell) -> None:
-        future = self._inflight[cell.key]
+        future = self._inflight[cell.slot]
         try:
             stats = await self._resolve(cell)
         except asyncio.CancelledError:
@@ -224,7 +259,7 @@ class ShardScheduler:
             # serves later requests.  Without a cache the future is the
             # only memo, so it stays (bounded by the config space).
             if self.result_cache is not None:
-                self._inflight.pop(cell.key, None)
+                self._inflight.pop(cell.slot, None)
 
     async def _resolve(self, cell: _Cell) -> PredictionStats:
         # A kind that is not deterministic never loads, claims or stores.
@@ -250,6 +285,7 @@ class ShardScheduler:
                 stats = await self._compute(cell)
                 if cache is not None:
                     cache.store(cell.key, stats)
+                    self._remember(cell.key, stats)
                 return stats
             finally:
                 if cache is not None:
@@ -257,13 +293,29 @@ class ShardScheduler:
 
     def _load(self, cache: ResultCache, key: str,
               collect_mask: bool) -> Optional[PredictionStats]:
-        """The cell's cached stats, counted as a cache hit; ``None`` if the
-        cache has no record (or none with a mask when one is needed)."""
+        """The cell's cached stats, counted as a cache hit and remembered;
+        ``None`` if the cache has no record (or none with a mask when one
+        is needed).  A maskless request gets the memo's maskless entry."""
         hit = cache.load(key, need_mask=collect_mask)
-        if hit is not None:
-            self.counters["cache_hit"] += 1
-            get_sink().incr("service.cell.cache_hit")
-        return hit
+        if hit is None:
+            return None
+        self._count_cache_hit()
+        maskless = self._remember(key, hit)
+        return hit if collect_mask else maskless
+
+    def _count_cache_hit(self) -> None:
+        self.counters["cache_hit"] += 1
+        get_sink().incr("service.cell.cache_hit")
+
+    def _remember(self, key: str, stats: PredictionStats) -> PredictionStats:
+        """Put ``stats`` without its mask in the memo; return that entry."""
+        if stats.mispredict_mask is not None:
+            stats = dataclasses.replace(stats, mispredict_mask=None)
+        self._memo[key] = stats
+        self._memo.move_to_end(key)
+        if len(self._memo) > RESULT_MEMO_SIZE:
+            self._memo.popitem(last=False)
+        return stats
 
     async def _compute(self, cell: _Cell) -> PredictionStats:
         loop = asyncio.get_running_loop()

@@ -24,14 +24,23 @@ Endpoints (HTTP+JSON over ``asyncio.start_server``; see
 Every request is wrapped in a ``service.request`` obs span and counted
 under ``service.http.<status>``, so a run ledger breaks down server
 behaviour with ``repro report`` exactly like a batch sweep.  Inside a
-``POST /sweeps`` request, ``service.parse`` times the spec parse and
-``service.submit`` the scheduler submits of its cells.
+``POST /sweeps`` request, ``service.parse`` times the spec parse (meta
+``memo``: ``hit`` or ``miss``) and ``service.submit`` the scheduler
+submits of its cells.
+
+The server keeps the last :data:`PLAN_MEMO_SIZE` plans it parsed by the
+raw bytes of their request bodies, so a repeated body skips JSON
+decoding and :func:`~repro.sweepspec.parse_spec_document`.  A plan
+depends only on its body, so an entry never goes stale.  Only successful
+parses of bodies of at most :data:`PLAN_MEMO_MAX_BODY_BYTES` are kept: a
+malformed body gets its 400 every time, and the memo's size stays small.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,6 +61,11 @@ from repro.sweepspec import SpecError, SweepPlan, parse_spec_document
 
 #: Default TCP port ("serve" on a phone keypad starts with 7...).
 DEFAULT_PORT = 8797
+
+#: Parsed plans the server keeps by request body, and the largest body it
+#: keeps one for: a single-cell spec document is a few hundred bytes.
+PLAN_MEMO_SIZE = 256
+PLAN_MEMO_MAX_BODY_BYTES = 4096
 
 
 @dataclass
@@ -111,6 +125,7 @@ class SweepService:
         )
         self._jobs: Dict[str, SweepJob] = {}
         self._job_tasks: "Dict[str, asyncio.Task[None]]" = {}
+        self._plans: "OrderedDict[bytes, SweepPlan]" = OrderedDict()
         self._connections: "set[asyncio.Task[Any]]" = set()
         self._next_job = 0
         self._server: Optional[asyncio.base_events.Server] = None
@@ -270,17 +285,15 @@ class SweepService:
     # ------------------------------------------------------------------
     def _post_sweep(self, request: Request,
                     writer: asyncio.StreamWriter) -> int:
-        try:
-            document = request.json()
-        except ValueError as exc:
-            json_response(writer, 400,
-                          {"error": f"request body is not valid JSON: {exc}"},
-                          keep_alive=request.keep_alive)
-            return 400
         sink = get_sink()
+        plan = self._plans.get(request.body)
         try:
-            with sink.span("service.parse"):
-                plan = parse_spec_document(document)
+            with sink.span("service.parse",
+                           memo="miss" if plan is None else "hit"):
+                if plan is None:
+                    plan = self._parse(request)
+                else:
+                    self._plans.move_to_end(request.body)
         except SpecError as exc:
             json_response(writer, 400, {"error": str(exc)},
                           keep_alive=request.keep_alive)
@@ -307,6 +320,20 @@ class SweepService:
                       "events": f"/sweeps/{job.id}/events"},
         }, keep_alive=request.keep_alive)
         return 202
+
+    def _parse(self, request: Request) -> SweepPlan:
+        """Decode and validate the body into a plan, and remember the plan
+        if the body is small enough; a bad body raises :exc:`SpecError`."""
+        try:
+            document = request.json()
+        except ValueError as exc:
+            raise SpecError(f"request body is not valid JSON: {exc}") from exc
+        plan = parse_spec_document(document)
+        if len(request.body) <= PLAN_MEMO_MAX_BODY_BYTES:
+            self._plans[request.body] = plan
+            if len(self._plans) > PLAN_MEMO_SIZE:
+                self._plans.popitem(last=False)
+        return plan
 
     async def _run_job(
         self, job: SweepJob,

@@ -117,6 +117,54 @@ class TestSimulateMany:
             assert_identical(stats, simulate(trace, config, collect_mask=True))
 
 
+class TestDecodeReuse:
+    """Each trace's branch rows are decoded once per batch, not per cell.
+
+    Counts :func:`~repro.predictors.decode_branches` calls instead of
+    timing them: a decode is a few milliseconds against far more engine
+    work per batch, below a shared host's timing noise.
+    """
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        import repro.predictors.engine as engine
+        import repro.runner.pool as pool
+
+        calls = []
+        real = engine.decode_branches
+
+        def counting(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(engine, "decode_branches", counting)
+        monkeypatch.setattr(pool, "decode_branches", counting)
+        return calls
+
+    def test_simulate_many_decodes_once(self, monkeypatch):
+        from repro.workloads import get_trace
+
+        trace = get_trace("gcc", n_instructions=TRACE_LENGTH)
+        calls = self.count_decodes(monkeypatch)
+        simulate_many(trace, CONFIGS)
+        assert calls == [trace]
+        calls.clear()
+        for config in CONFIGS:
+            simulate(trace, config)
+        assert len(calls) == len(CONFIGS)
+
+    def test_serial_run_cells_decodes_once_per_trace(self, monkeypatch):
+        calls = self.count_decodes(monkeypatch)
+        results = run_cells(
+            [SweepCell(benchmark, config) for benchmark in ("perl", "gcc")
+             for config in CONFIGS],
+            jobs=1, trace_length=TRACE_LENGTH, result_cache=None,
+        )
+        assert len(results) == 2 * len(CONFIGS)
+        assert [len(trace) for trace in calls] == [TRACE_LENGTH] * 2
+        assert calls[0] is not calls[1]
+
+
 class TestExperimentContextMemo:
     def test_prediction_memoised_per_config(self):
         ctx = ExperimentContext(trace_length=TRACE_LENGTH)

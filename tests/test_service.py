@@ -26,8 +26,10 @@ from repro.obs import LedgerSink, install, read_ledger, shutdown
 from repro.predictors import EngineConfig, TargetCacheConfig
 from repro.runner import ResultCache, SweepCell, SweepPool, cell_key, run_cells
 from repro.service import SweepService
+from repro.service import scheduler as scheduler_module
+from repro.service import server as server_module
 from repro.service.server import SweepJob
-from repro.service.http import ProtocolError
+from repro.service.http import ProtocolError, Request
 from repro.service.loadgen import (
     ServiceClient,
     build_mix,
@@ -192,6 +194,179 @@ class TestShardScheduler:
         assert_identical(stats, maskless)
         assert counters["computed"] == 1
         assert counters["cache_hit"] == 0
+
+    @pytest.mark.parametrize("cached", [True, False],
+                             ids=["result-cache", "no-result-cache"])
+    def test_a_mask_submit_does_not_share_a_maskless_future(self, tmp_path,
+                                                           cached):
+        """A mask request for a cell in flight without a mask gets a future
+        of its own: the maskless one's stats carry no mask."""
+        async def go():
+            with SweepPool(0, trace_length=5_000) as pool:
+                scheduler = ShardScheduler(
+                    pool, shards=2, poll_interval_s=0.01,
+                    result_cache=ResultCache(tmp_path / "svc") if cached
+                    else None,
+                )
+                maskless = scheduler.submit("perl", CONFIGS[1])
+                masked = scheduler.submit("perl", CONFIGS[1],
+                                          collect_mask=True)
+                shared = masked is maskless
+                stats = await asyncio.gather(maskless, masked)
+                counters = dict(scheduler.counters)
+                await scheduler.close()
+                return shared, stats, counters
+
+        shared, (maskless, masked), counters = asyncio.run(go())
+        assert not shared
+        assert maskless.mispredict_mask is None
+        assert masked.mispredict_mask is not None
+        assert len(masked.mispredict_mask) == 5_000
+        assert_identical(maskless, masked)
+        assert counters["dedup"] == 0
+        assert counters["computed"] == 2
+
+    def test_a_remembered_cell_costs_no_record_read(self, tmp_path):
+        """Once a scheduler has stored a cell, a maskless submit of it is
+        answered from the memo: a done future and no record read, counted
+        as a memo hit and as a cache hit."""
+        direct = run_cells(
+            [SweepCell("perl", config) for config in CONFIGS],
+            jobs=1, trace_length=TRACE_LENGTH, result_cache=None,
+        )
+
+        async def go():
+            with make_pool() as pool:
+                cache = ResultCache(tmp_path / "svc")
+                scheduler = ShardScheduler(pool, shards=2,
+                                           result_cache=cache)
+                await asyncio.gather(*[scheduler.submit("perl", config)
+                                       for config in CONFIGS])
+                before = dict(scheduler.counters)
+
+                def no_read(key, need_mask=False):
+                    raise AssertionError(f"record read for {key[:12]}")
+
+                cache.load = no_read
+                futures = [scheduler.submit("perl", config)
+                           for config in CONFIGS]
+                done = [future.done() for future in futures]
+                stats = await asyncio.gather(*futures)
+                after = dict(scheduler.counters)
+                await scheduler.close()
+                return before, done, stats, after
+
+        before, done, stats, after = asyncio.run(go())
+        assert before["computed"] == len(CONFIGS)
+        assert before["memo_hit"] == 0
+        assert all(done)
+        for got, expected in zip(stats, direct):
+            assert_identical(got, expected)
+            assert got.mispredict_mask is None
+        assert after["memo_hit"] == len(CONFIGS)
+        assert after["cache_hit"] == before["cache_hit"] + len(CONFIGS)
+        assert after["computed"] == len(CONFIGS)
+        assert after["dedup"] == before["dedup"]
+
+    def test_a_maskless_memo_entry_does_not_answer_a_mask_request(
+            self, tmp_path):
+        async def go():
+            with make_pool() as pool:
+                scheduler = ShardScheduler(
+                    pool, shards=2,
+                    result_cache=ResultCache(tmp_path / "svc"))
+                maskless = await scheduler.submit("perl", CONFIGS[1])
+                future = scheduler.submit("perl", CONFIGS[1],
+                                          collect_mask=True)
+                queued = (future.done(), sum(scheduler.queue_depths()))
+                masked = await future
+                counters = dict(scheduler.counters)
+                # The mask compute refilled the memo without its mask.
+                again = await scheduler.submit("perl", CONFIGS[1])
+                memo_hits = scheduler.counters["memo_hit"]
+                await scheduler.close()
+                return maskless, queued, masked, counters, again, memo_hits
+
+        maskless, queued, masked, counters, again, memo_hits = asyncio.run(
+            go())
+        assert queued == (False, 1)
+        assert maskless.mispredict_mask is None
+        assert masked.mispredict_mask is not None
+        assert_identical(masked, maskless)
+        assert counters["computed"] == 2
+        assert counters["memo_hit"] == 0
+        assert counters["cache_hit"] == 0
+        assert memo_hits == 1
+        assert again.mispredict_mask is None
+        assert_identical(again, maskless)
+
+    def test_the_result_memo_evicts_its_least_recent_cell(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(scheduler_module, "RESULT_MEMO_SIZE", 2)
+
+        async def go():
+            with make_pool() as pool:
+                scheduler = ShardScheduler(
+                    pool, shards=2,
+                    result_cache=ResultCache(tmp_path / "svc"))
+                keys = [cell_key("perl", config, pool.trace_length,
+                                 pool.seed) for config in CONFIGS]
+                for config in CONFIGS:  # stored in this order
+                    await scheduler.submit("perl", config)
+                first = list(scheduler._memo)
+                for index in (1, 2, 0):
+                    await scheduler.submit("perl", CONFIGS[index])
+                second = list(scheduler._memo)
+                counters = dict(scheduler.counters)
+                await scheduler.close()
+                return keys, first, second, counters
+
+        keys, first, second, counters = asyncio.run(go())
+        assert first == [keys[1], keys[2]]
+        # Cells 1 and 2 were memo hits; cell 0 was read from its record,
+        # which evicted the least recent entry, cell 1.
+        assert second == [keys[2], keys[0]]
+        assert counters["memo_hit"] == 2
+        assert counters["cache_hit"] == 3
+        assert counters["computed"] == len(CONFIGS)
+
+    def test_two_schedulers_with_memos_compute_each_cell_once(self,
+                                                              tmp_path):
+        """Memos sit in front of the shared cache: mirrored sweeps, twice
+        over, still compute every cell once across both instances, and the
+        second round is answered from each instance's memo."""
+        cache_dir = tmp_path / "shared"
+
+        async def go():
+            with make_pool() as pool_a, make_pool() as pool_b:
+                schedulers = [
+                    ShardScheduler(pool, shards=2,
+                                   result_cache=ResultCache(cache_dir),
+                                   poll_interval_s=0.01)
+                    for pool in (pool_a, pool_b)
+                ]
+                rounds = []
+                for _ in range(2):
+                    rounds.append(await asyncio.gather(*[
+                        s.submit("perl", config)
+                        for config in CONFIGS for s in schedulers
+                    ]))
+                counters = [dict(s.counters) for s in schedulers]
+                for s in schedulers:
+                    await s.close()
+                return rounds, counters
+
+        rounds, (ca, cb) = asyncio.run(go())
+        assert ca["computed"] + cb["computed"] == len(CONFIGS)
+        assert ca["memo_hit"] == cb["memo_hit"] == len(CONFIGS)
+        direct = run_cells(
+            [SweepCell("perl", config) for config in CONFIGS],
+            jobs=1, trace_length=TRACE_LENGTH, result_cache=None,
+        )
+        for stats in rounds:
+            for i, expected in enumerate(direct):
+                assert_identical(stats[2 * i], expected)
+                assert_identical(stats[2 * i + 1], expected)
 
     def test_idle_shards_steal_queued_cells(self, tmp_path):
         async def go():
@@ -387,6 +562,36 @@ class TestServerEndToEnd:
         submits = [record["meta"] for record in read_ledger(ledger)
                    if record["name"] == "service.submit"]
         assert submits == [{"cells": 2}, {"cells": 2}]
+
+    def test_the_parse_span_says_whether_the_plan_memo_answered(
+            self, tmp_path):
+        """Every ``POST /sweeps`` records one ``service.parse`` span, memo
+        hit or not, and a rejected body is a miss each time."""
+        spec = {"benchmarks": ["perl"], "cells": [{"preset": "btb-only"}]}
+        bad = {"cells": [{"preset": "nope"}]}
+
+        async def scenario(service, client):
+            for document, expected in ((spec, 202), (spec, 202), (bad, 400),
+                                       (bad, 400)):
+                status, submitted = await client.request(
+                    "POST", "/sweeps", document)
+                assert status == expected
+                if status == 202:
+                    _, events = await client.request(
+                        "GET", submitted["links"]["events"])
+                    assert events[-1]["status"] == "done"
+
+        ledger = tmp_path / "serve.jsonl"
+        previous = install(LedgerSink(ledger))
+        try:
+            self.run_server(scenario, tmp_path)
+        finally:
+            shutdown()
+            install(previous)
+        parses = [record["meta"] for record in read_ledger(ledger)
+                  if record["name"] == "service.parse"]
+        assert parses == [{"memo": "miss"}, {"memo": "hit"},
+                          {"memo": "miss"}, {"memo": "miss"}]
 
     def test_rows_match_direct_sweep(self, tmp_path):
         """The wire numbers are the batch numbers: same cells, same rates."""
@@ -661,6 +866,124 @@ class TestEventStream:
         ]
 
 
+class TestPlanMemo:
+    """``POST /sweeps`` keeps parsed plans by the bytes of their bodies."""
+
+    @staticmethod
+    def counting_parse(monkeypatch):
+        """Count the server's ``parse_spec_document`` calls."""
+        calls = []
+        real = server_module.parse_spec_document
+
+        def parse(document):
+            calls.append(document)
+            return real(document)
+
+        monkeypatch.setattr(server_module, "parse_spec_document", parse)
+        return calls
+
+    @staticmethod
+    def body(preset, **extra):
+        return json.dumps({"benchmarks": ["perl"],
+                           "cells": [{"preset": preset, **extra}]}).encode()
+
+    @staticmethod
+    def post_all(tmp_path, bodies):
+        """``POST /sweeps`` each raw body in turn on a fresh service;
+        returns each (status, error or ``None``) and the memo's bodies."""
+        async def main():
+            service = SweepService(port=0, jobs=0, trace_length=TRACE_LENGTH,
+                                   result_cache=ResultCache(tmp_path / "svc"))
+            answers = []
+            try:
+                for body in bodies:
+                    writer = _RecordingWriter()
+                    status = service._post_sweep(
+                        Request(method="POST", path="/sweeps", body=body),
+                        writer)
+                    payload = json.loads(
+                        writer.writes[-1].split(b"\r\n\r\n", 1)[1])
+                    answers.append((status, payload.get("error")))
+                return answers, list(service._plans)
+            finally:
+                await service.close()
+
+        return asyncio.run(main())
+
+    def test_a_repeated_body_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = self.counting_parse(monkeypatch)
+        spec = {"benchmarks": ["perl", "gcc"],
+                "cells": [{"preset": "btb-only"},
+                          {"preset": "tagless-gshare9", "label": "t"}]}
+
+        async def scenario(service, client):
+            jobs = []
+            for _ in range(3):
+                status, submitted = await client.request("POST", "/sweeps",
+                                                         spec)
+                assert status == 202
+                await client.request("GET", submitted["links"]["events"])
+                _, job = await client.request("GET",
+                                              submitted["links"]["result"])
+                jobs.append(job)
+            return jobs
+
+        jobs = TestServerEndToEnd().run_server(scenario, tmp_path)
+        assert len(calls) == 1
+        assert all(job["status"] == "done" for job in jobs)
+        assert jobs[0]["rows"] == jobs[1]["rows"] == jobs[2]["rows"]
+        plan = parse_spec_document(spec)
+        direct = run_cells(
+            [SweepCell(row.benchmark, row.config) for row in plan.rows],
+            jobs=1, trace_length=TRACE_LENGTH, result_cache=None,
+        )
+        assert [(row["label"], row["benchmark"]) for row in jobs[0]["rows"]] \
+            == [(row.label, row.benchmark) for row in plan.rows]
+        for row, stats in zip(jobs[0]["rows"], direct):
+            assert row["indirect"] == stats.indirect_mispred_rate
+            assert row["conditional"] == stats.conditional_mispred_rate
+            assert row["overall"] == stats.overall_mispred_rate
+
+    def test_a_bad_or_oversized_body_is_never_memoised(
+            self, tmp_path, monkeypatch, raising_spec_plugin):
+        calls = self.counting_parse(monkeypatch)
+        oversized = self.body(
+            "btb-only", label="x" * server_module.PLAN_MEMO_MAX_BODY_BYTES)
+        bodies = [
+            b'{"cells": [',                                  # bad JSON
+            self.body("no-such-preset"),                     # SpecError
+            json.dumps({"plugins": [raising_spec_plugin],
+                        "cells": [{"preset": "btb-only"}]}).encode(),
+            oversized,                                       # valid, too big
+        ]
+        answers, memo = self.post_all(
+            tmp_path, [body for body in bodies for _ in range(2)])
+        statuses = [status for status, _ in answers]
+        assert statuses == [400, 400, 400, 400, 400, 400, 202, 202]
+        assert answers[0] == answers[1]
+        assert answers[0][1].startswith("request body is not valid JSON:")
+        assert "cells[0].preset" in answers[2][1]
+        assert answers[4][1].startswith("'plugins[0]': importing")
+        assert answers[4] == answers[5]
+        assert memo == []
+        # Bad JSON never reaches the parser; the others are parsed twice.
+        assert len(calls) == 6
+
+    def test_the_plan_memo_evicts_its_least_recent_body(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(server_module, "PLAN_MEMO_SIZE", 2)
+        calls = self.counting_parse(monkeypatch)
+        a, b, c = (self.body(name) for name in
+                   ("btb-only", "tagless-gshare9", "tagged-4way"))
+        answers, memo = self.post_all(tmp_path, [a, b, a, c, a, b])
+        assert [status for status, _ in answers] == [202] * 6
+        # a and b miss; a hits; c misses and evicts b; a hits; b misses
+        # again and evicts c.
+        assert [call["cells"][0]["preset"] for call in calls] == [
+            "btb-only", "tagless-gshare9", "tagged-4way", "tagless-gshare9"]
+        assert memo == [a, b]
+
+
 # ----------------------------------------------------------------------
 # The btb2 kind through the full service path (PR: server-scale BTB).
 # ----------------------------------------------------------------------
@@ -851,6 +1174,13 @@ class TestLoadgen:
         # The replay finds every cell warm: the acceptance bar is >=90%.
         assert second["scheduler"]["saved_rate"] >= 0.9
         assert second["scheduler"]["computed"] == 0
+        # ... and in the scheduler's memo, which loadgen reports but never
+        # gates on.
+        assert second["scheduler"]["memo_hit_rate"] >= 0.9
+        assert (second["scheduler"]["memo_hit"]
+                <= second["scheduler"]["cache_hit"])
+        assert "scheduler.memo_hit_rate" in second["info_metrics"]
+        assert "scheduler.memo_hit" in second["info_metrics"]
 
     def test_computed_sweep_costs_two_requests(self, tmp_path, monkeypatch):
         """A submit and one events stream read to ``done``: no polling, so
